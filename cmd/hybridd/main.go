@@ -32,16 +32,6 @@
 // -disk-max-mb bounds the persistent tier, enforced by segment
 // compaction. -stream-buffer sizes each stream subscriber's cell
 // buffer; one that falls that far behind is disconnected.
-//
-// Cluster mode (DESIGN.md §15): -peers lists the full static
-// membership (host:port, comma-separated) and -self names this
-// process's own entry. Peers probe each other's liveness, assign every
-// artifact a primary owner on a consistent-hash ring, fill local cache
-// misses from the owner (hash-verified, with retry/backoff and a
-// bounded hedge) and replicate local computes to it — degrading to
-// local compute whenever a peer is down, slow, or corrupt, so a sweep
-// never fails because of the cluster. The peers answer each other on
-// GET /v1/peer/ping and GET/PUT /v1/peer/artifact/{ns}/{key}.
 // SIGINT/SIGTERM shut down gracefully, draining in-flight sweeps.
 package main
 
@@ -54,8 +44,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
-	"strings"
 	"syscall"
 	"time"
 
@@ -80,7 +68,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		"Serve the scenario-sweep harness over HTTP with a content-addressed result cache.",
 		"hybridd -addr 127.0.0.1:8080",
 		"hybridd -cache-dir /var/lib/hybridd   # persist results across restarts",
-		"hybridd -peers a:8080,b:8080,c:8080 -self a:8080 -cache-dir /var/lib/hybridd   # one cluster member",
 		`curl localhost:8080/v1/scenarios`,
 		`curl -X POST localhost:8080/v1/sweeps -d '{"scenario":"table1","families":["path","grid2d"],"n":256}'`,
 	)
@@ -95,27 +82,11 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	maxSweeps := fs.Int("max-sweeps", 0, "finished sweeps kept in memory; evicted ones re-serve from cache (0 = default, negative = unbounded)")
 	trustProxy := fs.Bool("trust-proxy", false, "rate-limit by the first X-Forwarded-For hop (only behind a trusted reverse proxy)")
 	streamBuffer := fs.Int("stream-buffer", 0, "buffered cells per stream subscriber before a slow consumer is dropped (0 = default)")
-	peersFlag := fs.String("peers", "", "cluster mode: full static membership as comma-separated host:port entries (requires -self)")
-	self := fs.String("self", "", "this process's own host:port entry in -peers (required with -peers)")
-	probeInterval := fs.Duration("peer-probe-interval", time.Second, "cluster liveness probe period")
-	peerTimeout := fs.Duration("peer-timeout", 2*time.Second, "per-attempt timeout of remote artifact fetches")
 	if err := fs.Parse(args); err != nil {
 		if cliutil.HelpRequested(err) {
 			return nil
 		}
 		return err
-	}
-
-	// Validate the cluster flags before anything binds or spawns: a
-	// misconfigured member must refuse to start, not half-join the ring.
-	peers := splitPeers(*peersFlag)
-	switch {
-	case len(peers) > 0 && *self == "":
-		return errors.New("-peers requires -self (this process's own host:port entry)")
-	case *self != "" && len(peers) == 0:
-		return errors.New("-self requires -peers (the full cluster membership)")
-	case *self != "" && !slices.Contains(peers, *self):
-		return fmt.Errorf("-self %q is not in the -peers list %v", *self, peers)
 	}
 
 	srv, err := hybridnet.NewServer(hybridnet.ServerConfig{
@@ -129,11 +100,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		MaxSweeps:    *maxSweeps,
 		TrustProxy:   *trustProxy,
 		StreamBuffer: *streamBuffer,
-
-		Peers:             peers,
-		Self:              *self,
-		PeerProbeInterval: *probeInterval,
-		PeerFetchTimeout:  *peerTimeout,
 	})
 	if err != nil {
 		return err
@@ -171,17 +137,4 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	return srv.Close()
-}
-
-// splitPeers parses the -peers flag: comma-separated host:port entries,
-// whitespace-tolerant, empty segments dropped so a trailing comma is
-// harmless.
-func splitPeers(s string) []string {
-	var peers []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	return peers
 }

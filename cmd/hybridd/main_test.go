@@ -254,10 +254,8 @@ func TestUsage(t *testing.T) {
 		t.Fatalf("-h: %v", err)
 	}
 	out := buf.String()
-	for _, flag := range []string{"-addr", "-peers", "-self", "-peer-probe-interval", "-peer-timeout"} {
-		if !strings.Contains(out, flag) {
-			t.Errorf("usage missing %s:\n%s", flag, out)
-		}
+	if !strings.Contains(out, "-addr") {
+		t.Errorf("usage missing -addr:\n%s", out)
 	}
 	if err := cliutil.VerifyUsageText("hybridd", out); err != nil {
 		t.Errorf("usage text invalid: %v\n%s", err, out)
@@ -269,82 +267,5 @@ func TestBadFlag(t *testing.T) {
 	var buf strings.Builder
 	if err := run(context.Background(), []string{"-nosuch"}, &buf); err == nil {
 		t.Fatal("run accepted an unknown flag")
-	}
-}
-
-// TestClusterFlagValidation: invalid -peers/-self combinations must
-// fail run() before anything binds (main turns the error into one
-// stderr line + exit 1), never half-start a misconfigured member.
-func TestClusterFlagValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-		want string // substring of the error
-	}{
-		{"peers without self", []string{"-peers", "a:1,b:2"}, "-peers requires -self"},
-		{"self without peers", []string{"-self", "a:1"}, "-self requires -peers"},
-		{"self not in peers", []string{"-peers", "a:1,b:2", "-self", "c:3"}, "not in the -peers list"},
-		{"peers without cache", []string{"-peers", "a:1,b:2", "-self", "a:1", "-cache-mb", "-1"}, "artifact cache"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var buf strings.Builder
-			err := run(context.Background(), append([]string{"-addr", "127.0.0.1:0"}, tc.args...), &buf)
-			if err == nil {
-				t.Fatalf("run(%v) started despite invalid cluster flags", tc.args)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
-			}
-			if strings.Contains(buf.String(), "listening on") {
-				t.Errorf("server began listening before validation: %q", buf.String())
-			}
-		})
-	}
-}
-
-// TestClusterSingleMemberSmoke: a one-member cluster (peers == {self})
-// is valid and serves its peer endpoints; every key is self-owned so
-// sweeps work exactly as in single-node mode.
-func TestClusterSingleMemberSmoke(t *testing.T) {
-	url, shutdown := startServer(t,
-		"-peers", "127.0.0.1:19999", "-self", "127.0.0.1:19999",
-		"-cache-dir", t.TempDir(), "-peer-probe-interval", "100ms")
-	defer shutdown()
-
-	resp, err := http.Get(url + "/v1/peer/ping")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ping struct {
-		Self string `json:"self"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&ping); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || ping.Self != "127.0.0.1:19999" {
-		t.Fatalf("ping: code=%d self=%q", resp.StatusCode, ping.Self)
-	}
-
-	r, err := http.Get(url + "/v1/cache/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st struct {
-		Peers *struct {
-			Self    string `json:"self"`
-			Members []struct {
-				Addr  string `json:"addr"`
-				State string `json:"state"`
-			} `json:"members"`
-		} `json:"peers"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if st.Peers == nil || st.Peers.Self != "127.0.0.1:19999" || len(st.Peers.Members) != 1 {
-		t.Fatalf("cache stats peers section = %+v", st.Peers)
 	}
 }

@@ -1,7 +1,7 @@
 // Command hybridload replays realistic sweep traffic against a running
-// hybridd instance — or, with -peers, a whole hybridd cluster — and
-// reports end-to-end latency, cache efficiency, and admission behavior
-// — the load proof for the hardening layer (DESIGN.md §11, §15).
+// hybridd instance and reports end-to-end latency, cache efficiency,
+// and admission behavior — the load proof for the hardening layer
+// (DESIGN.md §11).
 //
 // A mix of "scenario:family:n" jobs is replayed in waves by a pool of
 // concurrent clients: each job is submitted (429 responses honor the
@@ -19,17 +19,7 @@
 // byte-identity contract of DESIGN.md §12 — while measuring the
 // latency to the first streamed event.
 //
-// With -peers the mix is spread round-robin over several hybridd
-// endpoints (the wave number rotates the assignment, so warm waves land
-// on different peers than the cold wave did). A job whose target fails
-// mid-flight — connection refused, reset, truncated body — fails over
-// to the next target with capped backoff and restarts from submission;
-// since the digest ledger is keyed by sweep id, a sweep computed on one
-// peer and re-served by another must be byte-identical, making a
-// cluster load run a cross-peer consistency check too.
-//
 //	hybridload -addr 127.0.0.1:8080 -waves 3 -clients 8
-//	hybridload -peers 127.0.0.1:8080,127.0.0.1:8081,127.0.0.1:8082 -waves 3
 //	hybridload -addr 127.0.0.1:8080 -stream -bench | benchjson -table bench_http
 //
 // With -bench the summary is followed by `go test -bench`-style lines
@@ -43,12 +33,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"net/url"
 	"os"
 	"os/signal"
 	"sort"
@@ -113,50 +100,27 @@ type sweepStatus struct {
 	Error  string `json:"error"`
 }
 
-// loadClient drives one or more hybridd endpoints: a single -addr, or
-// the -peers membership with round-robin assignment and failover.
+// loadClient drives one hybridd endpoint.
 type loadClient struct {
-	targets []string // base URLs, ≥ 1
+	base    string
 	hc      *http.Client
 	timeout time.Duration
 	// shedWait caps how long a Retry-After hint is honored per attempt,
 	// so a aggressively limited run fails fast instead of stalling.
 	shedWait time.Duration
 
-	mu        sync.Mutex
-	sheds     int // 429 responses that were retried
-	failovers int // jobs restarted on another target after a transport failure
-}
-
-// target maps an assignment index onto the target ring.
-func (c *loadClient) target(i int) string { return c.targets[i%len(c.targets)] }
-
-// retryable reports whether a job error is a transport-level failure
-// worth failing over to another target — the peer died, refused, or
-// truncated mid-body — as opposed to an application error (failed
-// sweep, digest drift) that every peer would reproduce.
-func retryable(err error) bool {
-	var uerr *url.Error
-	var nerr net.Error
-	var jerr *json.SyntaxError
-	return errors.As(err, &uerr) || errors.As(err, &nerr) || errors.As(err, &jerr) ||
-		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
-}
-
-// failoverBackoff is the capped linear backoff between a job's
-// failover attempts.
-func failoverBackoff(attempt int) time.Duration {
-	return min(time.Duration(attempt+1)*200*time.Millisecond, time.Second)
+	mu    sync.Mutex
+	sheds int // 429 responses that were retried
 }
 
 // submit posts one job, honoring 429 Retry-After hints with bounded
 // retries, and returns the sweep id. fresh forces re-execution through
 // the cell cache (warm waves measure cache-served sweeps, not the
 // no-op reuse of an already-finished one).
-func (c *loadClient) submit(ctx context.Context, base string, j job, fresh bool) (string, error) {
+func (c *loadClient) submit(ctx context.Context, j job, fresh bool) (string, error) {
 	body := fmt.Sprintf(`{"scenario":%q,"families":[%q],"n":%d,"fresh":%v}`, j.scenario, j.family, j.n, fresh)
 	for attempt := 0; attempt < 10; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, "POST", base+"/v1/sweeps", strings.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, "POST", c.base+"/v1/sweeps", strings.NewReader(body))
 		if err != nil {
 			return "", err
 		}
@@ -191,7 +155,7 @@ func (c *loadClient) submit(ctx context.Context, base string, j job, fresh bool)
 		err = json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
 		if err != nil {
-			return "", fmt.Errorf("submit %s: %w", j, err)
+			return "", fmt.Errorf("submit %s: %v", j, err)
 		}
 		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 			return "", fmt.Errorf("submit %s: HTTP %d: %s", j, resp.StatusCode, st.Error)
@@ -203,23 +167,23 @@ func (c *loadClient) submit(ctx context.Context, base string, j job, fresh bool)
 
 // wait long-polls the status endpoint until the sweep leaves the
 // running state or the configured timeout elapses.
-func (c *loadClient) wait(ctx context.Context, base, id string) (sweepStatus, error) {
+func (c *loadClient) wait(ctx context.Context, id string) (sweepStatus, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	for {
-		req, err := http.NewRequestWithContext(ctx, "GET", base+"/v1/sweeps/"+id+"?wait=1", nil)
+		req, err := http.NewRequestWithContext(ctx, "GET", c.base+"/v1/sweeps/"+id+"?wait=1", nil)
 		if err != nil {
 			return sweepStatus{}, err
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
-			return sweepStatus{}, fmt.Errorf("wait %s: %w", id, err)
+			return sweepStatus{}, fmt.Errorf("wait %s: %v", id, err)
 		}
 		var st sweepStatus
 		err = json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
 		if err != nil {
-			return sweepStatus{}, fmt.Errorf("wait %s: %w", id, err)
+			return sweepStatus{}, fmt.Errorf("wait %s: %v", id, err)
 		}
 		if resp.StatusCode != http.StatusOK {
 			return sweepStatus{}, fmt.Errorf("wait %s: HTTP %d: %s", id, resp.StatusCode, st.Error)
@@ -236,8 +200,8 @@ func (c *loadClient) wait(ctx context.Context, base, id string) (sweepStatus, er
 }
 
 // fetch streams the sweep's results and returns their digest.
-func (c *loadClient) fetch(ctx context.Context, base, id, format string) ([32]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, "GET", base+"/v1/sweeps/"+id+"/results?format="+format, nil)
+func (c *loadClient) fetch(ctx context.Context, id, format string) ([32]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, "GET", c.base+"/v1/sweeps/"+id+"/results?format="+format, nil)
 	if err != nil {
 		return [32]byte{}, err
 	}
@@ -273,17 +237,17 @@ type streamResult struct {
 // canonical cell index, so re-ordering by id and concatenating
 // reproduces the static ?format=jsonl document. Duplicate cell ids
 // (broken exactly-once replay) and non-"done" terminals are errors.
-func (c *loadClient) stream(ctx context.Context, base, id string) (streamResult, error) {
+func (c *loadClient) stream(ctx context.Context, id string) (streamResult, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", base+"/v1/sweeps/"+id+"/stream?format=sse", nil)
+	req, err := http.NewRequestWithContext(ctx, "GET", c.base+"/v1/sweeps/"+id+"/stream?format=sse", nil)
 	if err != nil {
 		return streamResult{}, err
 	}
 	start := time.Now()
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return streamResult{}, fmt.Errorf("stream %s: %w", id, err)
+		return streamResult{}, fmt.Errorf("stream %s: %v", id, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -310,7 +274,7 @@ func (c *loadClient) stream(ctx context.Context, base, id string) (streamResult,
 		return nil
 	})
 	if err != nil {
-		return streamResult{}, fmt.Errorf("stream %s: %w", id, err)
+		return streamResult{}, fmt.Errorf("stream %s: %v", id, err)
 	}
 	if terminal != "done" {
 		return streamResult{}, fmt.Errorf("stream %s: terminal event %q, want done", id, terminal)
@@ -344,66 +308,11 @@ type sample struct {
 	statusOK bool
 }
 
-// runJob drives one job end to end against one target: submit, wait,
-// fetch (and with stream set, consume the live SSE stream and verify
-// it against the static jsonl document).
-func (c *loadClient) runJob(ctx context.Context, base string, j job, format string, fresh, stream bool) (sample, error) {
-	start := time.Now()
-	id, err := c.submit(ctx, base, j, fresh)
-	if err != nil {
-		return sample{}, err
-	}
-	var sres streamResult
-	var serr error
-	sdone := make(chan struct{})
-	if stream {
-		go func() {
-			defer close(sdone)
-			sres, serr = c.stream(ctx, base, id)
-		}()
-	} else {
-		close(sdone)
-	}
-	st, err := c.wait(ctx, base, id)
-	if err != nil {
-		return sample{}, err
-	}
-	fetchStart := time.Now()
-	digest, err := c.fetch(ctx, base, id, format)
-	if err != nil {
-		return sample{}, err
-	}
-	<-sdone
-	if serr != nil {
-		return sample{}, serr
-	}
-	if stream {
-		staticJSONL, err := c.fetch(ctx, base, id, "jsonl")
-		if err != nil {
-			return sample{}, err
-		}
-		if sres.digest != staticJSONL {
-			return sample{}, fmt.Errorf("sweep %s (%s): streamed rows differ from the static jsonl document — the §12 byte-identity contract is broken", id, j)
-		}
-	}
-	return sample{
-		job: j, id: id,
-		total:   time.Since(start),
-		results: time.Since(fetchStart),
-		cached:  st.Cached, cells: st.Cells,
-		digest: digest, stream: sres, statusOK: true,
-	}, nil
-}
-
 // runWave replays the whole mix once with the configured concurrency.
-// Each job starts on target (jobIndex + wave - 1) — round-robin, and
-// the rotation by wave means warm waves hit different peers than the
-// cold wave, turning the digest ledger into a cross-peer byte-identity
-// check. A transport-level failure fails the job over to the next
-// target with capped backoff, restarting from submission; the attempt
-// budget is two full laps of the ring, so a run survives dead peers
-// but not a fully dead cluster.
-func runWave(ctx context.Context, c *loadClient, jobs []job, wave, clients int, format string, fresh, stream bool) ([]sample, error) {
+// With stream set, every job's SSE stream is consumed concurrently
+// with the long-poll — live while the sweep runs — and its reassembled
+// rows must hash identically to the static ?format=jsonl document.
+func runWave(ctx context.Context, c *loadClient, jobs []job, clients int, format string, fresh, stream bool) ([]sample, error) {
 	samples := make([]sample, len(jobs))
 	errs := make([]error, len(jobs))
 	sem := make(chan struct{}, clients)
@@ -414,25 +323,56 @@ func runWave(ctx context.Context, c *loadClient, jobs []job, wave, clients int, 
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			budget := 2 * len(c.targets)
-			for attempt := 0; attempt < budget; attempt++ {
-				s, err := c.runJob(ctx, c.target(i+wave-1+attempt), j, format, fresh, stream)
-				if err == nil {
-					samples[i], errs[i] = s, nil
+			start := time.Now()
+			id, err := c.submit(ctx, j, fresh)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			var sres streamResult
+			var serr error
+			sdone := make(chan struct{})
+			if stream {
+				go func() {
+					defer close(sdone)
+					sres, serr = c.stream(ctx, id)
+				}()
+			} else {
+				close(sdone)
+			}
+			st, err := c.wait(ctx, id)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			fetchStart := time.Now()
+			digest, err := c.fetch(ctx, id, format)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			<-sdone
+			if serr != nil {
+				errs[i] = serr
+				return
+			}
+			if stream {
+				staticJSONL, err := c.fetch(ctx, id, "jsonl")
+				if err != nil {
+					errs[i] = err
 					return
 				}
-				errs[i] = fmt.Errorf("%s: %w", j, err)
-				if ctx.Err() != nil || !retryable(err) || attempt == budget-1 {
+				if sres.digest != staticJSONL {
+					errs[i] = fmt.Errorf("sweep %s (%s): streamed rows differ from the static jsonl document — the §12 byte-identity contract is broken", id, j)
 					return
 				}
-				c.mu.Lock()
-				c.failovers++
-				c.mu.Unlock()
-				select {
-				case <-time.After(failoverBackoff(attempt)):
-				case <-ctx.Done():
-					return
-				}
+			}
+			samples[i] = sample{
+				job: j, id: id,
+				total:   time.Since(start),
+				results: time.Since(fetchStart),
+				cached:  st.Cached, cells: st.Cells,
+				digest: digest, stream: sres, statusOK: true,
 			}
 		}(i, j)
 	}
@@ -471,12 +411,10 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := cliutil.NewFlagSet(w, "hybridload",
 		"Replay a realistic sweep mix against a running hybridd and verify cross-wave byte-identity.",
 		"hybridload -addr 127.0.0.1:8080 -waves 3 -clients 8",
-		"hybridload -peers 127.0.0.1:8080,127.0.0.1:8081,127.0.0.1:8082 -waves 3   # round-robin a cluster",
 		"hybridload -addr 127.0.0.1:8080 -stream   # also consume each sweep's live SSE stream",
 		"hybridload -addr 127.0.0.1:8080 -bench | benchjson -table bench_http -baseline BENCH_http.json",
 	)
 	addr := fs.String("addr", "127.0.0.1:8080", "hybridd address (host:port or full URL)")
-	peersFlag := fs.String("peers", "", "comma-separated hybridd cluster addresses; jobs round-robin over them with failover (overrides -addr)")
 	mixFlag := fs.String("mix", "nq:path:64,nq:cycle:64,nq:grid2d:64,nq:grid3d:64", "comma-separated scenario:family:n jobs replayed each wave")
 	waves := fs.Int("waves", 2, "replay rounds; wave 1 is the cold run, later waves must be cache-served and byte-identical")
 	clients := fs.Int("clients", 4, "concurrent clients replaying the mix")
@@ -498,51 +436,26 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	raw := []string{*addr}
-	if *peersFlag != "" {
-		raw = nil
-		for _, p := range strings.Split(*peersFlag, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				raw = append(raw, p)
-			}
-		}
-		if len(raw) == 0 {
-			return fmt.Errorf("-peers is set but holds no addresses")
-		}
+	base := *addr
+	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
+		base = "http://" + base
 	}
-	targets := make([]string, len(raw))
-	for i, a := range raw {
-		base := a
-		if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
-			base = "http://" + base
-		}
-		targets[i] = strings.TrimRight(base, "/")
-	}
-	c := &loadClient{targets: targets, hc: &http.Client{}, timeout: *timeout, shedWait: *shedWait}
+	base = strings.TrimRight(base, "/")
+	c := &loadClient{base: base, hc: &http.Client{}, timeout: *timeout, shedWait: *shedWait}
 
-	// Probe before loading: at least one target must answer. Dead ones
-	// are reported but tolerated — surviving them is what failover is
-	// for.
-	reachable := 0
-	for _, base := range targets {
-		resp, err := c.hc.Get(base + "/v1/scenarios")
-		if err != nil {
-			fmt.Fprintf(w, "warning: %s unreachable: %v\n", base, err)
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		reachable++
+	// Probe the server before loading it.
+	resp, err := c.hc.Get(base + "/v1/scenarios")
+	if err != nil {
+		return fmt.Errorf("hybridd unreachable at %s: %v", base, err)
 	}
-	if reachable == 0 {
-		return fmt.Errorf("no hybridd reachable at any of %s", strings.Join(targets, ", "))
-	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 
 	digests := make(map[string][32]byte) // sweep id → wave-1 digest
 	var coldTotals, warmTotals, warmResults, firstEvents []time.Duration
 	for wave := 1; wave <= *waves; wave++ {
 		start := time.Now()
-		samples, err := runWave(ctx, c, jobs, wave, *clients, *format, wave > 1, *stream)
+		samples, err := runWave(ctx, c, jobs, *clients, *format, wave > 1, *stream)
 		if err != nil {
 			return fmt.Errorf("wave %d: %w", wave, err)
 		}
@@ -575,42 +488,27 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			cached, cells)
 	}
 	c.mu.Lock()
-	sheds, failovers := c.sheds, c.failovers
+	sheds := c.sheds
 	c.mu.Unlock()
 	fmt.Fprintf(w, "429 shed-and-retried submissions: %d\n", sheds)
-	if len(targets) > 1 {
-		fmt.Fprintf(w, "cross-target failovers: %d\n", failovers)
-	}
 	if *stream {
 		fmt.Fprintf(w, "stream first-event p50: %v (all %d streams byte-identical to static jsonl)\n",
 			quantile(firstEvents, 0.5).Round(time.Microsecond), len(firstEvents))
 	}
 
 	// Scrape /metrics a few times for the exposition-latency benchmark
-	// (and as a smoke check that the endpoint serves under load). Each
-	// scrape walks the targets in order and uses the first that answers.
+	// (and as a smoke check that the endpoint serves under load).
 	var scrapes []time.Duration
 	for i := 0; i < 5; i++ {
 		t0 := time.Now()
-		var lastErr error
-		ok := false
-		for _, base := range targets {
-			resp, err := c.hc.Get(base + "/metrics")
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			n, _ := io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK || n == 0 {
-				lastErr = fmt.Errorf("/metrics: HTTP %d, %d bytes", resp.StatusCode, n)
-				continue
-			}
-			ok = true
-			break
+		resp, err := c.hc.Get(base + "/metrics")
+		if err != nil {
+			return fmt.Errorf("scraping /metrics: %v", err)
 		}
-		if !ok {
-			return fmt.Errorf("scraping /metrics on every target failed, last: %w", lastErr)
+		n, _ := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || n == 0 {
+			return fmt.Errorf("/metrics: HTTP %d, %d bytes", resp.StatusCode, n)
 		}
 		scrapes = append(scrapes, time.Since(t0))
 	}

@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"net"
 	"net/http/httptest"
 	"regexp"
@@ -79,88 +77,6 @@ func TestLoadHonors429(t *testing.T) {
 	}
 }
 
-// deadAddr reserves an ephemeral port and immediately frees it, so
-// dialing it gets connection-refused — a peer that is down.
-func deadAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
-// TestLoadMultiTargetFailover: with -peers listing two live backends
-// and one dead address, every job still completes (failing over off the
-// dead target with backoff) and the cross-wave digest ledger holds even
-// though waves land on different backends — deterministic sweeps must
-// be byte-identical across peers.
-func TestLoadMultiTargetFailover(t *testing.T) {
-	ts1 := startBackend(t, hybridnet.ServerConfig{})
-	ts2 := startBackend(t, hybridnet.ServerConfig{})
-	dead := deadAddr(t)
-	var out strings.Builder
-	err := run(context.Background(), []string{
-		"-peers", strings.Join([]string{ts1.URL, dead, ts2.URL}, ","),
-		"-mix", "nq:path:64,nq:cycle:64",
-		"-waves", "2", "-clients", "2",
-	}, &out)
-	if err != nil {
-		t.Fatalf("multi-target load run failed: %v\n%s", err, out.String())
-	}
-	text := out.String()
-	if !strings.Contains(text, "warning: http://"+dead+" unreachable") {
-		t.Errorf("missing unreachable warning for the dead target:\n%s", text)
-	}
-	m := regexp.MustCompile(`(?m)^cross-target failovers: (\d+)$`).FindStringSubmatch(text)
-	if m == nil || m[1] == "0" {
-		t.Errorf("round-robin over a dead target must record failovers, got %v:\n%s", m, text)
-	}
-	for _, want := range []string{"wave 1:", "wave 2:"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("output missing %q:\n%s", want, text)
-		}
-	}
-}
-
-// TestLoadAllTargetsDead: the startup probe fails the run when no
-// target answers, before any load is generated.
-func TestLoadAllTargetsDead(t *testing.T) {
-	var out strings.Builder
-	err := run(context.Background(), []string{
-		"-peers", deadAddr(t) + "," + deadAddr(t),
-		"-waves", "1",
-	}, &out)
-	if err == nil || !strings.Contains(err.Error(), "no hybridd reachable") {
-		t.Fatalf("err = %v, want a no-target-reachable error", err)
-	}
-}
-
-// TestRetryable pins the failover classification: transport-level
-// failures fail over, application-level errors do not.
-func TestRetryable(t *testing.T) {
-	var c loadClient
-	c.hc = httptest.NewServer(nil).Client()
-	c.targets = []string{"http://" + deadAddr(t)}
-	_, err := c.submit(context.Background(), c.targets[0], job{scenario: "nq", family: "path", n: 64}, false)
-	if err == nil || !retryable(err) {
-		t.Errorf("connection refused: retryable(%v) = false, want true", err)
-	}
-	for _, appErr := range []error{
-		fmt.Errorf("sweep x failed: boom"),
-		fmt.Errorf("wave 2: sweep y results drifted"),
-	} {
-		if retryable(appErr) {
-			t.Errorf("retryable(%v) = true, want false", appErr)
-		}
-	}
-	if !retryable(fmt.Errorf("wait x: %w", io.ErrUnexpectedEOF)) {
-		t.Error("a truncated body must be retryable")
-	}
-}
-
 // TestParseMix pins the mix grammar.
 func TestParseMix(t *testing.T) {
 	jobs, err := parseMix("nq:path:64, table1:grid2d:128")
@@ -180,7 +96,7 @@ func TestUsage(t *testing.T) {
 	if err := run(context.Background(), []string{"-h"}, &buf); err != nil {
 		t.Fatalf("-h: %v", err)
 	}
-	for _, want := range []string{"-mix", "-waves", "-peers"} {
+	for _, want := range []string{"-mix", "-waves"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("usage missing %q:\n%s", want, buf.String())
 		}
@@ -201,5 +117,31 @@ func TestBadFlags(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-waves", "0"}, &buf); err == nil {
 		t.Fatal("run accepted zero waves")
+	}
+}
+
+// deadAddr returns a loopback address with no listener behind it.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
+// TestLoadAllTargetsDead: when the only target refuses connections, the
+// probe fails run with an unreachable error before any wave starts.
+func TestLoadAllTargetsDead(t *testing.T) {
+	var out strings.Builder
+	addr := deadAddr(t)
+	err := run(context.Background(), []string{"-addr", addr, "-waves", "1"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "hybridd unreachable at http://"+addr) {
+		t.Fatalf("err = %v, want an unreachable error naming %s", err, addr)
+	}
+	if out.Len() != 0 {
+		t.Errorf("no wave output expected, got:\n%s", out.String())
 	}
 }

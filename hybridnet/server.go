@@ -89,9 +89,6 @@ type CacheStats struct {
 	// Pool is the shared worker pool's depth at snapshot time — the
 	// signal admission control sheds on (DESIGN.md §11).
 	Pool runner.PoolStats `json:"pool"`
-	// Peers is the cluster section (DESIGN.md §15); nil outside
-	// cluster mode.
-	Peers *PeerStats `json:"peers,omitempty"`
 }
 
 // Sweep-lifecycle errors.
@@ -176,32 +173,6 @@ type ServerConfig struct {
 	// many cells behind the sweep is disconnected with a terminal
 	// "dropped" event instead of blocking the run (DESIGN.md §12).
 	StreamBuffer int
-
-	// Peers, when non-empty, enables cluster mode (DESIGN.md §15): the
-	// full static membership of hybridd peers (host:port), including
-	// this process. Artifacts are owner-assigned on a consistent-hash
-	// ring over the membership; local cache misses fill from the owner
-	// and local computes replicate to it. Requires Self and a
-	// non-disabled cache.
-	Peers []string
-	// Self is this process's own advertised host:port; it must appear
-	// in Peers. Required iff Peers is set.
-	Self string
-	// PeerProbeInterval is the liveness probe period (0 means 1s).
-	PeerProbeInterval time.Duration
-	// PeerFetchTimeout bounds each remote artifact fetch attempt
-	// (0 means 2s).
-	PeerFetchTimeout time.Duration
-	// PeerHedgeDelay is how long the fetcher waits on the primary
-	// owner before spending its bounded hedged attempt on the next
-	// ring owner (0 means 150ms).
-	PeerHedgeDelay time.Duration
-	// PeerSeed seeds the deterministic retry jitter (0 derives from
-	// Self).
-	PeerSeed int64
-	// PeerTransport overrides the HTTP transport of all peer calls —
-	// the fault-injection seam of the differential cluster tests.
-	PeerTransport http.RoundTripper
 }
 
 // SweepRequest is a sweep submission: one registered scenario swept
@@ -270,6 +241,11 @@ type sweep struct {
 	// lazily on the first stream request (see streamSource).
 	bcast *broadcaster
 
+	// prev is the finished sweep a Fresh re-run replaced: its results
+	// stay servable under the same id until the re-run ends (the bytes
+	// are identical — sweeps are deterministic). nil otherwise.
+	prev *sweep
+
 	done chan struct{}
 	el   *list.Element // position in the finished-sweep LRU, nil while running
 }
@@ -334,8 +310,6 @@ type Server struct {
 	trustProxy   bool // key the rate limiter on X-Forwarded-For
 	streamBuffer int  // per-subscriber buffered-cell capacity
 	streamSubs   atomic.Int64
-
-	cluster *cluster // nil outside cluster mode (see peer.go)
 
 	reg *metrics.Registry
 	m   serverMetrics
@@ -439,36 +413,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.graphs = runner.NewGraphCache(nil, 0)
 		s.profiles = runner.NewProfileCache(nil, 0)
 	}
-
-	if len(cfg.Peers) > 0 || cfg.Self != "" {
-		if len(cfg.Peers) == 0 {
-			s.shutdownPartial()
-			return nil, fmt.Errorf("hybridnet: Self is set but Peers is empty")
-		}
-		if s.store == nil {
-			s.shutdownPartial()
-			return nil, fmt.Errorf("hybridnet: cluster mode requires the artifact cache (CacheBytes >= 0)")
-		}
-		c, err := newCluster(cfg, s.version)
-		if err != nil {
-			s.shutdownPartial()
-			return nil, err
-		}
-		s.cluster = c
-		s.installHooks(cfg.CacheDir != "")
-		c.reg.Start()
-	}
 	s.registerMetrics()
 	return s, nil
-}
-
-// shutdownPartial releases what NewServer built before a construction
-// error.
-func (s *Server) shutdownPartial() {
-	s.pool.Close()
-	if s.store != nil {
-		s.store.Close()
-	}
 }
 
 // registerMetrics builds the /metrics registry: admission counters,
@@ -494,37 +440,10 @@ func (s *Server) registerMetrics() {
 	// so folding them into "status" (or recording a stream's lifetime
 	// at all — it gets time-to-first-byte instead, see instrument)
 	// would poison the latency ceilings the plain endpoints are held to.
-	endpoints := []string{"scenarios", "submit", "status", "status_wait", "results", "stream", "cache_stats", "metrics"}
-	if s.cluster != nil {
-		endpoints = append(endpoints, "peer_ping", "peer_artifact", "peer_artifact_put")
-	}
-	for _, ep := range endpoints {
+	for _, ep := range []string{"scenarios", "submit", "status", "status_wait", "results", "stream", "cache_stats", "metrics"} {
 		s.m.latency[ep] = reg.Histogram("hybridd_http_request_seconds", "Request latency by endpoint.", nil, metrics.L{Name: "endpoint", Value: ep})
 	}
 	reg.GaugeFunc("hybridd_stream_subscribers", "Live stream subscribers.", func() float64 { return float64(s.streamSubs.Load()) })
-
-	if c := s.cluster; c != nil {
-		// Cluster series (DESIGN.md §15): per-peer liveness, fetch
-		// outcomes, graceful degradations, replication pushes. The
-		// counter cells double as the cluster's own accounting (see
-		// cluster.stats), so they are installed before any traffic.
-		fetchVec := reg.CounterVec("hybridd_peer_fetch_total", "Remote artifact fill attempts by outcome.", "outcome")
-		for _, o := range fetchOutcomes {
-			c.outcomes[o] = fetchVec.With(string(o))
-		}
-		c.degraded = reg.Counter("hybridd_peer_degraded_total", "Local misses degraded to local compute because the owning peer was unavailable, slow, or corrupt.")
-		c.replicate = reg.CounterVec("hybridd_peer_replicate_total", "Owner-directed replication pushes by outcome.", "outcome")
-		for _, o := range []string{"ok", "error", "dropped"} {
-			c.replicate.With(o)
-		}
-		c.repl.Observe = func(outcome string) { c.replicate.With(outcome).Inc() }
-		for _, member := range c.ring.Members() {
-			member := member
-			reg.GaugeFunc("hybridd_peer_state", "Peer liveness (0=down, 1=suspect, 2=healthy).", func() float64 {
-				return float64(c.reg.State(member))
-			}, metrics.L{Name: "peer", Value: member})
-		}
-	}
 
 	reg.GaugeFunc("hybridd_pool_workers", "Shared worker pool size.", func() float64 { return float64(s.pool.Stats().Workers) })
 	reg.GaugeFunc("hybridd_pool_queued", "Cell tasks accepted but not yet dispatched.", func() float64 { return float64(s.pool.Stats().Queued) })
@@ -585,11 +504,6 @@ func (s *Server) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	s.wg.Wait()
-	// Cluster teardown after the sweeps drained (they may still fill
-	// or replicate) and before the store closes underneath the hooks.
-	if s.cluster != nil {
-		s.cluster.close()
-	}
 	s.pool.Close()
 	if s.store != nil {
 		return s.store.Close()
@@ -611,9 +525,6 @@ func (s *Server) CacheStats() CacheStats {
 	}
 	if s.store != nil {
 		st.StoreStats = s.store.Stats()
-	}
-	if s.cluster != nil {
-		st.Peers = s.cluster.stats()
 	}
 	return st
 }
@@ -716,10 +627,16 @@ func (s *Server) Submit(req SweepRequest) (SweepStatus, error) {
 		return SweepStatus{}, &CapacityError{RetryAfter: s.retryAfter()}
 	}
 	sw := &sweep{id: id, req: req, state: SweepRunning, done: make(chan struct{}), bcast: newBroadcaster(s.streamBuffer)}
-	if old := s.sweeps[id]; old != nil && old.el != nil {
+	if old := s.sweeps[id]; old != nil {
 		// Fresh re-run replaces a finished sweep: drop the old entry
-		// from the LRU before the new one takes the map slot.
-		s.finished.Remove(old.el)
+		// from the LRU before the new one takes the map slot, and keep
+		// serving its results while the re-run is in flight.
+		if old.el != nil {
+			s.finished.Remove(old.el)
+		}
+		if old.status().State == SweepDone {
+			sw.prev = old
+		}
 	}
 	s.sweeps[id] = sw
 	s.running++
@@ -784,6 +701,7 @@ func (s *Server) runSweep(sw *sweep, fams []graph.Family) {
 		sw.state = SweepDone
 		sw.tables = tables
 	}
+	sw.prev = nil
 	sw.mu.Unlock()
 
 	// Registry bookkeeping (capacity release, LRU push, eviction of the
@@ -932,10 +850,15 @@ func (s *Server) Wait(id string) (SweepStatus, error) {
 // tables returns a finished sweep's rendered tables, regenerating them
 // through the cell cache for a rehydrated sweep (cache hits make the
 // re-render byte-identical to the original run; a cold cell would be
-// re-simulated deterministically to the same rows). Errors are always
-// returned before any output is produced.
+// re-simulated deterministically to the same rows). A Fresh re-run
+// serves the tables of the finished sweep it replaced. Errors are
+// always returned before any output is produced.
 func (s *Server) tables(sw *sweep) ([]*runner.Table, error) {
 	sw.mu.Lock()
+	if prev := sw.prev; prev != nil && sw.state == SweepRunning {
+		sw.mu.Unlock()
+		return s.tables(prev)
+	}
 	defer sw.mu.Unlock()
 	switch sw.state {
 	case SweepRunning:
@@ -964,7 +887,8 @@ func (s *Server) tables(sw *sweep) ([]*runner.Table, error) {
 // format ("md", "csv", or "jsonl"; empty means markdown) through the
 // runner sinks — the same rendering path as cmd/experiments, so
 // cached, fresh, and rehydrated sweeps are byte-identical. Returns
-// ErrSweepRunning while the sweep is in flight and the sweep's own
+// ErrSweepRunning while the sweep runs for the first time (a Fresh
+// re-run keeps serving the results it replaces) and the sweep's own
 // error after a failure; every error path is reported before the
 // first byte is written.
 func (s *Server) WriteResults(w io.Writer, id, format string) error {
@@ -1016,7 +940,7 @@ func (s *Server) Handler() http.Handler {
 	// method-qualified ones above, so they catch exactly the
 	// wrong-method requests (ServeMux's built-in 405 would answer
 	// text/plain, breaking the JSON error contract).
-	allowByPath := map[string]string{
+	for path, allow := range map[string]string{
 		"/v1/scenarios":           "GET",
 		"/v1/sweeps":              "POST",
 		"/v1/sweeps/{id}":         "GET",
@@ -1024,18 +948,7 @@ func (s *Server) Handler() http.Handler {
 		"/v1/sweeps/{id}/stream":  "GET",
 		"/v1/cache/stats":         "GET",
 		"/metrics":                "GET",
-	}
-	if s.cluster != nil {
-		// Peer wire protocol (DESIGN.md §15). {key...} is a
-		// rest-of-path wildcard: artifact keys contain '/' (the
-		// "v=<version>/" cache prefix) that must survive as structure.
-		mux.HandleFunc("GET /v1/peer/ping", s.instrument("peer_ping", s.handlePeerPing))
-		mux.HandleFunc("GET /v1/peer/artifact/{ns}/{key...}", s.instrument("peer_artifact", s.handlePeerArtifactGet))
-		mux.HandleFunc("PUT /v1/peer/artifact/{ns}/{key...}", s.instrument("peer_artifact_put", s.handlePeerArtifactPut))
-		allowByPath["/v1/peer/ping"] = "GET"
-		allowByPath["/v1/peer/artifact/{ns}/{key...}"] = "GET, PUT"
-	}
-	for path, allow := range allowByPath {
+	} {
 		mux.HandleFunc(path, methodNotAllowed(allow))
 	}
 	return mux

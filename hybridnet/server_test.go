@@ -161,6 +161,42 @@ func TestServerContentAddressedReuse(t *testing.T) {
 	}
 }
 
+// TestServerFreshRerunKeepsResults: a Fresh re-run that replaces a
+// finished sweep keeps that id's results servable — byte-identical —
+// while it runs, instead of answering ErrSweepRunning (HTTP 409). The
+// cache is disabled so the re-run re-simulates and is still in flight
+// when the results are read.
+func TestServerFreshRerunKeepsResults(t *testing.T) {
+	srv := newTestServer(t, hybridnet.ServerConfig{Workers: 1, CacheBytes: -1})
+	req := hybridnet.SweepRequest{Scenario: "table2", Families: []string{"grid2d"}, N: 512}
+	st, err := srv.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Wait(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	first := results(t, srv, st.ID, "jsonl")
+
+	req.Fresh = true
+	rerun, err := srv.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rerun.Reused || rerun.ID != st.ID {
+		t.Fatalf("fresh resubmission did not start a re-run of %s: %+v", st.ID, rerun)
+	}
+	if during := results(t, srv, st.ID, "jsonl"); !bytes.Equal(during, first) {
+		t.Errorf("results during the fresh re-run differ:\nfirst:\n%s\nduring:\n%s", first, during)
+	}
+	if _, err := srv.Wait(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if after := results(t, srv, st.ID, "jsonl"); !bytes.Equal(after, first) {
+		t.Errorf("results after the fresh re-run differ:\nfirst:\n%s\nafter:\n%s", first, after)
+	}
+}
+
 // TestServerDiskTierSurvivesRestart: a second server over the same
 // cache directory serves the first server's cells from disk and renders
 // byte-identical results.

@@ -1,7 +1,7 @@
 // Package artifact is the content-addressed blob layer under the sweep
 // pipeline (DESIGN.md §9): a namespaced, generic two-tier store that
 // serves every artifact kind the harness content-addresses — encoded
-// result rows (namespace "results", see internal/resultcache) and
+// result rows (namespace "results", behind runner.CellCache) and
 // frozen CSR graph topologies (namespace "graphs", see
 // runner.GraphCache) — through one byte-bounded memory tier and one
 // persistent disk tier.
@@ -20,11 +20,10 @@
 // pairs; the disk tier is an append-only log of JSONL segments shared
 // by all namespaces, each record tagged with its namespace ("results"
 // is the default and is omitted on disk, which keeps the format
-// backward compatible with the segments internal/resultcache wrote
-// before this layer existed). Gets fall through memory to disk
-// (promoting hits); Puts write through to both. Stats are kept per
-// namespace and for the disk tier. All methods are safe for concurrent
-// use.
+// backward compatible with the segments the result cache wrote before
+// this layer existed). Gets fall through memory to disk (promoting
+// hits); Puts write through to both. Stats are kept per namespace and
+// for the disk tier. All methods are safe for concurrent use.
 package artifact
 
 import (
@@ -64,15 +63,6 @@ type Stats struct {
 	DiskHits uint64 `json:"disk_hits"`
 	// DiskPuts counts records appended to the disk tier.
 	DiskPuts uint64 `json:"disk_puts"`
-	// Fills counts Gets served by the remote fill hook (see SetFill):
-	// local misses healed by a verified peer fetch.
-	Fills uint64 `json:"fills,omitempty"`
-	// FillRejects counts remote blobs discarded because their bytes
-	// did not match the advertised content hash.
-	FillRejects uint64 `json:"fill_rejects,omitempty"`
-	// FillErrors counts fill attempts that failed for any reason other
-	// than a clean remote miss (ErrFillUnavailable).
-	FillErrors uint64 `json:"fill_errors,omitempty"`
 	// Entries and Bytes describe the current memory tier.
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
@@ -94,9 +84,6 @@ func (s *Stats) add(o Stats) {
 	s.Evictions += o.Evictions
 	s.DiskHits += o.DiskHits
 	s.DiskPuts += o.DiskPuts
-	s.Fills += o.Fills
-	s.FillRejects += o.FillRejects
-	s.FillErrors += o.FillErrors
 	s.Entries += o.Entries
 	s.Bytes += o.Bytes
 }
@@ -156,24 +143,20 @@ type Store struct {
 // counters is one namespace's atomic counter block.
 type counters struct {
 	hits, misses, puts, evictions, diskHits, diskPuts atomic.Uint64
-	fills, fillRejects, fillErrors                    atomic.Uint64
 	entries                                           atomic.Int64
 	bytes                                             atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Puts:        c.puts.Load(),
-		Evictions:   c.evictions.Load(),
-		DiskHits:    c.diskHits.Load(),
-		DiskPuts:    c.diskPuts.Load(),
-		Fills:       c.fills.Load(),
-		FillRejects: c.fillRejects.Load(),
-		FillErrors:  c.fillErrors.Load(),
-		Entries:     int(c.entries.Load()),
-		Bytes:       c.bytes.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Puts:      c.puts.Load(),
+		Evictions: c.evictions.Load(),
+		DiskHits:  c.diskHits.Load(),
+		DiskPuts:  c.diskPuts.Load(),
+		Entries:   int(c.entries.Load()),
+		Bytes:     c.bytes.Load(),
 	}
 }
 
@@ -310,15 +293,6 @@ type Namespace struct {
 	store        *Store
 	name         string
 	diskOnlyPuts atomic.Bool
-
-	// fill and replicate are the cluster hooks (see fill.go); nil
-	// outside cluster mode.
-	fillFn atomic.Pointer[FillFunc]
-	replFn atomic.Pointer[ReplicateFunc]
-
-	flightMu sync.Mutex
-	flights  map[string]*flight
-
 	counters
 }
 
@@ -339,39 +313,8 @@ func (ns *Namespace) Stats() Stats { return ns.counters.snapshot() }
 
 // Get returns the blob stored under key. The returned slice is shared
 // and must be treated as read-only. Disk-tier hits are promoted into
-// the memory tier; if both tiers miss and a fill hook is installed
-// (cluster mode), the blob is pulled from the owning peer, verified,
-// and written through locally before being returned.
+// the memory tier.
 func (ns *Namespace) Get(key string) ([]byte, bool) {
-	if v, ok := ns.getLocal(key); ok {
-		ns.hits.Add(1)
-		return v, true
-	}
-	if fp := ns.fillFn.Load(); fp != nil {
-		if v, ok := ns.fillThrough(key, *fp); ok {
-			ns.hits.Add(1)
-			return v, true
-		}
-	}
-	ns.misses.Add(1)
-	return nil, false
-}
-
-// GetLocal is Get restricted to the local tiers: it never invokes the
-// fill hook. The peer artifact endpoint serves through GetLocal, which
-// is what terminates fill recursion across the cluster.
-func (ns *Namespace) GetLocal(key string) ([]byte, bool) {
-	if v, ok := ns.getLocal(key); ok {
-		ns.hits.Add(1)
-		return v, true
-	}
-	ns.misses.Add(1)
-	return nil, false
-}
-
-// getLocal consults memory then disk, counting diskHits but leaving
-// hit/miss accounting to the caller.
-func (ns *Namespace) getLocal(key string) ([]byte, bool) {
 	k := memKey{ns: ns.name, key: key}
 	sh := ns.store.shard(k)
 	sh.mu.Lock()
@@ -379,36 +322,25 @@ func (ns *Namespace) getLocal(key string) ([]byte, bool) {
 		sh.lru.MoveToFront(el)
 		v := el.Value.(*entry).value
 		sh.mu.Unlock()
+		ns.hits.Add(1)
 		return v, true
 	}
 	sh.mu.Unlock()
 	if d := ns.store.disk; d != nil {
 		if v, ok := d.get(ns.name, key); ok {
 			ns.insert(k, v)
+			ns.hits.Add(1)
 			ns.diskHits.Add(1)
 			return v, true
 		}
 	}
+	ns.misses.Add(1)
 	return nil, false
 }
 
 // Put stores the blob under key in both tiers (or the disk tier alone
-// under SetDiskOnlyPuts) and, when a replicate hook is installed,
-// offers the blob for asynchronous push to its ring owner. Values are
-// treated as immutable after Put.
+// under SetDiskOnlyPuts). Values are treated as immutable after Put.
 func (ns *Namespace) Put(key string, value []byte) {
-	ns.PutLocal(key, value)
-	if rp := ns.replFn.Load(); rp != nil {
-		(*rp)(key, value)
-	}
-}
-
-// PutLocal is Put without the replicate hook. Blobs that arrived from
-// a peer (fill write-throughs, replication pushes) are stored with
-// PutLocal so they are not re-offered to the cluster — the receiving
-// side is already the owner or the fetcher, so another hop could only
-// echo blobs back and forth.
-func (ns *Namespace) PutLocal(key string, value []byte) {
 	ns.puts.Add(1)
 	d := ns.store.disk
 	if d == nil || !ns.diskOnlyPuts.Load() {
