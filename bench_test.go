@@ -382,7 +382,7 @@ func BenchmarkNQScaling(b *testing.B) {
 	var rows []experiments.NQScalingRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.NQScaling(benchN, []int{16, 64, 256, 1024})
+		rows, err = runner.Collect(runner.Parallel(), experiments.NQScalingScenario(nil, benchN, []int{16, 64, 256, 1024}))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/nq"
+	"repro/internal/runner"
 )
 
 func main() {
@@ -53,12 +54,13 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	if *family == "" {
-		rows, err := experiments.NQScaling(*n, kList)
+		rows, err := runner.Collect(runner.Parallel(), experiments.NQScalingScenario(nil, *n, kList))
 		if err != nil {
 			return err
 		}
+		t := experiments.NQScalingData(rows)
 		fmt.Fprintln(w, "# NQ_k scaling (Theorems 15/16): NQ_k = Θ(k^{1/(d+1)}) on d-dimensional grids")
-		fmt.Fprint(w, experiments.FormatNQScaling(rows))
+		fmt.Fprint(w, runner.Markdown(t.Header, t.Rows))
 		return nil
 	}
 	g, err := graph.Build(graph.Family(*family), *n, nil)

@@ -296,7 +296,7 @@ type serverMetrics struct {
 type Server struct {
 	pool     *runner.Pool
 	store    *artifact.Store      // nil when caching is disabled
-	results  runner.CellCache     // version-prefixed view of the results namespace
+	results  runner.BlobStore     // version-prefixed view of the results namespace
 	sweepsNS *artifact.Namespace  // persisted sweep records; nil without a store
 	graphs   *runner.GraphCache   // always present; store-backed when possible
 	profiles *runner.ProfileCache // always present; store-backed when possible

@@ -1,7 +1,7 @@
 // Package artifact is the content-addressed blob layer under the sweep
 // pipeline (DESIGN.md §9): a namespaced, generic two-tier store that
 // serves every artifact kind the harness content-addresses — encoded
-// result rows (namespace "results", behind runner.CellCache) and
+// result rows (namespace "results", behind Runner.Cache) and
 // frozen CSR graph topologies (namespace "graphs", see
 // runner.GraphCache) — through one byte-bounded memory tier and one
 // persistent disk tier.
@@ -287,8 +287,8 @@ func (s *Store) shard(k memKey) *shard {
 }
 
 // Namespace is one named key space of a Store. It satisfies
-// runner.CellCache and runner.BlobStore; values handed to Put and
-// returned by Get are treated as immutable.
+// runner.BlobStore; values handed to Put and returned by Get are
+// treated as immutable.
 type Namespace struct {
 	store        *Store
 	name         string

@@ -76,26 +76,12 @@ func (s Set) AppendIndices(dst []int) []int {
 	return dst
 }
 
-// UnionFrom overwrites s with a ∪ b word by word. All three sets must
-// have equal capacity; shorter operands simply bound the words written.
-// s may alias a or b — each word is read before it is written.
-func (s Set) UnionFrom(a, b Set) {
-	m := len(s.words)
-	if len(a.words) < m {
-		m = len(a.words)
-	}
-	if len(b.words) < m {
-		m = len(b.words)
-	}
-	for i := 0; i < m; i++ {
-		s.words[i] = a.words[i] | b.words[i]
-	}
-}
-
 // AndNotFrom overwrites s with a \ b (bits of a not in b) word by word.
-// Capacity rules and aliasing guarantees match UnionFrom. The bottom-up
-// BFS step uses this to peel the newly visited frontier out of the
-// unvisited set in O(n/64) word operations.
+// All three sets must have equal capacity; shorter operands simply
+// bound the words written. s may alias a or b — each word is read
+// before it is written. The bottom-up BFS step uses this to peel the
+// newly visited frontier out of the unvisited set in O(n/64) word
+// operations.
 func (s Set) AndNotFrom(a, b Set) {
 	m := len(s.words)
 	if len(a.words) < m {

@@ -29,7 +29,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/graph"
 	"repro/internal/hybrid"
-	"repro/internal/runner"
 )
 
 // DefaultFamilies are the graph families every table sweeps by default:
@@ -51,11 +50,6 @@ func params(net *hybrid.Net, k, l int, eps float64) baseline.Params {
 		Eps:   eps,
 		Diam:  net.Graph().Diameter(),
 	}
-}
-
-// RenderTable renders a markdown table.
-func RenderTable(header []string, rows [][]string) string {
-	return runner.Markdown(header, rows)
 }
 
 func f1(x float64) string {

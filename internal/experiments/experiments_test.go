@@ -6,21 +6,22 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/runner"
 )
 
-func TestRenderTable(t *testing.T) {
-	out := RenderTable([]string{"a", "b"}, [][]string{{"1", "2"}, {"3", "4"}})
-	if !strings.Contains(out, "| a | b |") || !strings.Contains(out, "| 3 | 4 |") {
-		t.Fatalf("bad table:\n%s", out)
+// markdown renders a table the way the markdown sink does, note
+// included, so the row assertions read what a report would show.
+func markdown(t *testing.T, tbl *runner.Table) string {
+	t.Helper()
+	var b strings.Builder
+	if err := runner.WriteTable(&runner.MarkdownSink{W: &b}, tbl); err != nil {
+		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("want 4 lines, got %d", len(lines))
-	}
+	return b.String()
 }
 
 func TestTable1SmallRun(t *testing.T) {
-	rows, err := Table1([]graph.Family{graph.FamilyPath, graph.FamilyGrid2D}, 144, []int{64, 144}, 1)
+	rows, err := runner.Collect(runner.Parallel(), Table1Scenario([]graph.Family{graph.FamilyPath, graph.FamilyGrid2D}, 144, []int{64, 144}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +44,14 @@ func TestTable1SmallRun(t *testing.T) {
 	// AHK+20 √k baseline for k=n (NQ_n ≈ n^{1/3} ≪ √n there)… at these
 	// small sizes polylog constants dominate, so just require the
 	// formatted table to render.
-	txt := FormatTable1(rows)
+	txt := markdown(t, Table1Data(rows))
 	if !strings.Contains(txt, "path") || !strings.Contains(txt, "grid2d") {
 		t.Fatalf("format:\n%s", txt)
 	}
 }
 
 func TestTable2SmallRun(t *testing.T) {
-	rows, err := Table2([]graph.Family{graph.FamilyPath}, 100, 2)
+	rows, err := runner.Collect(runner.Parallel(), Table2Scenario([]graph.Family{graph.FamilyPath}, 100, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +70,13 @@ func TestTable2SmallRun(t *testing.T) {
 			t.Fatalf("%s rounds = %d", name, v)
 		}
 	}
-	if !strings.Contains(FormatTable2(rows), "path") {
+	if !strings.Contains(markdown(t, Table2Data(rows)), "path") {
 		t.Fatal("format failed")
 	}
 }
 
 func TestTable3SmallRun(t *testing.T) {
-	rows, err := Table3([]graph.Family{graph.FamilyPath}, 120, []int{32}, 3)
+	rows, err := runner.Collect(runner.Parallel(), Table3Scenario([]graph.Family{graph.FamilyPath}, 120, []int{32}, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +86,13 @@ func TestTable3SmallRun(t *testing.T) {
 	if rows[0].Rounds <= 0 || rows[0].Stretch < 1 {
 		t.Fatalf("bad row %+v", rows[0])
 	}
-	if !strings.Contains(FormatTable3(rows), "path") {
+	if !strings.Contains(markdown(t, Table3Data(rows)), "path") {
 		t.Fatal("format failed")
 	}
 }
 
 func TestTable4SmallRun(t *testing.T) {
-	rows, err := Table4([]graph.Family{graph.FamilyGrid2D}, 100, []float64{0.5, 0.25}, 4)
+	rows, err := runner.Collect(runner.Parallel(), Table4Scenario([]graph.Family{graph.FamilyGrid2D}, 100, []float64{0.5, 0.25}, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +103,13 @@ func TestTable4SmallRun(t *testing.T) {
 	if rows[1].Thm13Rounds <= rows[0].Thm13Rounds {
 		t.Fatalf("eps=0.25 (%d) not costlier than eps=0.5 (%d)", rows[1].Thm13Rounds, rows[0].Thm13Rounds)
 	}
-	if !strings.Contains(FormatTable4(rows), "grid2d") {
+	if !strings.Contains(markdown(t, Table4Data(rows)), "grid2d") {
 		t.Fatal("format failed")
 	}
 }
 
 func TestFigure1SmallRun(t *testing.T) {
-	pts, err := Figure1(graph.FamilyPath, 200, []float64{0, 0.5, 1}, 0.5, 5)
+	pts, err := runner.Collect(runner.Parallel(), Figure1Scenario([]graph.Family{graph.FamilyPath}, 200, []float64{0, 0.5, 1}, 0.5, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +121,14 @@ func TestFigure1SmallRun(t *testing.T) {
 			t.Fatalf("no rounds at beta=%v", p.Beta)
 		}
 	}
-	txt := FormatFigure1(pts)
+	txt := markdown(t, Figure1Data(graph.FamilyPath, pts))
 	if !strings.Contains(txt, "regime") || !strings.Contains(txt, "*") {
 		t.Fatalf("figure format:\n%s", txt)
 	}
 }
 
 func TestNQScalingRun(t *testing.T) {
-	rows, err := NQScaling(256, []int{16, 64, 256})
+	rows, err := runner.Collect(runner.Parallel(), NQScalingScenario(nil, 256, []int{16, 64, 256}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestNQScalingRun(t *testing.T) {
 			t.Fatalf("%s k=%d: NQ=%d vs predicted %.1f (ratio %.2f)", r.Family, r.K, r.NQ, r.Predicted, r.Ratio)
 		}
 	}
-	if !strings.Contains(FormatNQScaling(rows), "grid3d") {
+	if !strings.Contains(markdown(t, NQScalingData(rows)), "grid3d") {
 		t.Fatal("format failed")
 	}
 }

@@ -1,15 +1,15 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/runner"
 )
 
 func TestGammaScalingMonotone(t *testing.T) {
-	rows, err := GammaScaling(graph.FamilyPath, 576, 48, []int{1, 4, 16}, 0.5, 1)
+	rows, err := runner.Collect(runner.Parallel(), GammaScalingScenario(graph.FamilyPath, 576, 48, []int{1, 4, 16}, 0.5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +26,7 @@ func TestGammaScalingMonotone(t *testing.T) {
 	if !strings.Contains(rows[len(rows)-1].Regime, "parallel") {
 		t.Fatalf("final regime %q, want parallel", rows[len(rows)-1].Regime)
 	}
-	if !strings.Contains(FormatGammaScaling(rows), "parallel") {
+	if !strings.Contains(markdown(t, GammaScalingData(rows)), "parallel") {
 		t.Fatal("format failed")
-	}
-	var buf bytes.Buffer
-	if err := GammaScalingCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "cap_factor") {
-		t.Fatal("CSV header missing")
 	}
 }

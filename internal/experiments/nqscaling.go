@@ -127,12 +127,6 @@ func nqScalingScenario(name string, families []graph.Family, ns, ks []int, attac
 	}
 }
 
-// NQScaling regenerates the Theorem 15/16 tables over all of
-// NQFamilies on the default parallel runner.
-func NQScaling(n int, ks []int) ([]NQScalingRow, error) {
-	return runner.Collect(runner.Parallel(), NQScalingScenario(nil, n, ks))
-}
-
 // NQScalingData renders rows into the sink-neutral table form.
 func NQScalingData(rows []NQScalingRow) *runner.Table {
 	return nqScalingData("nqscaling", "NQ_k scaling (Theorems 15/16)", rows)
@@ -177,10 +171,4 @@ func nqScalingData(name, title string, rows []NQScalingRow) *runner.Table {
 		t.Rows = append(t.Rows, nqScalingValues(r))
 	}
 	return t
-}
-
-// FormatNQScaling renders rows as markdown.
-func FormatNQScaling(rows []NQScalingRow) string {
-	t := NQScalingData(rows)
-	return runner.Markdown(t.Header, t.Rows)
 }

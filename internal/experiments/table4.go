@@ -64,11 +64,6 @@ func Table4Scenario(families []graph.Family, n int, epss []float64, seed int64) 
 	}
 }
 
-// Table4 regenerates Table 4 on the default parallel runner.
-func Table4(families []graph.Family, n int, epss []float64, seed int64) ([]Table4Row, error) {
-	return runner.Collect(runner.Parallel(), Table4Scenario(families, n, epss, seed))
-}
-
 // table4Keys and table4Values are shared between the finished table
 // rendering and the per-cell stream rendering (Scenario.RenderRow), so
 // streamed rows match the document byte for byte.
@@ -101,10 +96,4 @@ func Table4Data(rows []Table4Row) *runner.Table {
 		t.Rows = append(t.Rows, table4Values(r))
 	}
 	return t
-}
-
-// FormatTable4 renders rows as markdown.
-func FormatTable4(rows []Table4Row) string {
-	t := Table4Data(rows)
-	return runner.Markdown(t.Header, t.Rows)
 }

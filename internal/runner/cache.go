@@ -4,7 +4,7 @@ package runner
 // is derived from the cell's own coordinates (see the package comment),
 // a cell's rows are a pure function of (coordinates, model config, code
 // version) — which makes them content-addressable: CacheKey hashes
-// exactly those inputs, and a CellCache keyed by it returns rows that
+// exactly those inputs, and a BlobStore keyed by it returns rows that
 // are semantically identical to a fresh run. DESIGN.md §7 spells out
 // the determinism argument and why the code version must be part of
 // the key.
@@ -28,15 +28,16 @@ import (
 // binary that wrote it.
 const CodeVersion = "2026-07-repro-3"
 
-// CellCache is the runner's cache-lookup hook: a content-addressed
-// store of encoded cell rows. Implementations must be safe for
-// concurrent use; an internal/artifact Namespace provides the
-// production one.
-// Values handed to Put and returned by Get are treated as immutable.
-type CellCache interface {
-	// Get returns the encoded rows stored under key, if any.
+// BlobStore is the runner's persistence hook: a content-addressed
+// store of encoded blobs — cell rows under Runner.Cache, topologies and
+// ball profiles under GraphCache and ProfileCache. Implementations must
+// be safe for concurrent use; an internal/artifact Namespace provides
+// the production one. Values handed to Put and returned by Get are
+// treated as immutable.
+type BlobStore interface {
+	// Get returns the blob stored under key, if any.
 	Get(key string) ([]byte, bool)
-	// Put stores the encoded rows of one cell under key.
+	// Put stores a blob under key.
 	Put(key string, value []byte)
 }
 

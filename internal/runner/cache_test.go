@@ -13,25 +13,29 @@ import (
 	"repro/internal/hybrid"
 )
 
-// mapCache is a minimal CellCache for tests.
-type mapCache struct {
-	mu sync.Mutex
-	m  map[string][]byte
+// mapBlobStore is a minimal BlobStore for tests, with a put/get trace.
+type mapBlobStore struct {
+	mu   sync.Mutex
+	m    map[string][]byte
+	gets int
+	puts int
 }
 
-func newMapCache() *mapCache { return &mapCache{m: make(map[string][]byte)} }
+func newMapBlobStore() *mapBlobStore { return &mapBlobStore{m: make(map[string][]byte)} }
 
-func (c *mapCache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[key]
+func (s *mapBlobStore) Get(key string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gets++
+	v, ok := s.m[key]
 	return v, ok
 }
 
-func (c *mapCache) Put(key string, value []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = value
+func (s *mapBlobStore) Put(key string, value []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.puts++
+	s.m[key] = value
 }
 
 // floatRow exercises exact round-tripping of awkward values through the
@@ -62,7 +66,7 @@ func floatScenario(runs *atomic.Int64) *Scenario[floatRow] {
 // run zero cells and return identical rows.
 func TestCollectCacheRoundTrip(t *testing.T) {
 	var runs atomic.Int64
-	cache := newMapCache()
+	cache := newMapBlobStore()
 	r := &Runner{Workers: 2, Cache: cache}
 
 	cold, err := Collect(r, floatScenario(&runs))
@@ -110,7 +114,7 @@ func TestCollectCacheRoundTrip(t *testing.T) {
 // a miss, not an error.
 func TestCollectCacheCorruptEntryFallsBack(t *testing.T) {
 	var runs atomic.Int64
-	cache := newMapCache()
+	cache := newMapBlobStore()
 	if _, err := Collect(&Runner{Workers: 1, Cache: cache}, floatScenario(&runs)); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +244,7 @@ func TestCollectCacheMarkdownByteIdentical(t *testing.T) {
 		return buf.Bytes()
 	}
 	var runs atomic.Int64
-	cache := newMapCache()
+	cache := newMapBlobStore()
 	cold, err := Collect(&Runner{Workers: 4, Cache: cache}, floatScenario(&runs))
 	if err != nil {
 		t.Fatal(err)

@@ -13,12 +13,10 @@ package runner
 // annotation on them is atomic.
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -28,15 +26,6 @@ import (
 // memory when NewGraphCache is given a non-positive limit. Evicted
 // instances remain restorable from the blob store, if one is attached.
 const DefaultMaxGraphs = 64
-
-// BlobStore is the persistence hook of the graph cache: a
-// content-addressed blob store, satisfied by artifact.Namespace.
-// Implementations must be safe for concurrent use; values handed to
-// Put and returned by Get are treated as immutable.
-type BlobStore interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, value []byte)
-}
 
 // GraphKey returns the content address of one topology coordinate. It
 // covers the build inputs (family, n, seed) and graph.CodecVersion, so
@@ -72,27 +61,10 @@ type GraphCacheStats struct {
 // concurrent sweeps, and Pool tenants. Construct with NewGraphCache;
 // attach to Runner.Graphs (or share one across many Runners).
 type GraphCache struct {
-	store     BlobStore // optional persistence; nil = memory only
-	maxGraphs int
+	store  BlobStore // optional persistence; nil = memory only
+	graphs *memo[*graph.Graph]
 
-	mu       sync.Mutex
-	graphs   map[string]*list.Element // key → lru element holding *graphEntry
-	lru      *list.List               // front = most recently used
-	inflight map[string]*graphCall
-
-	builds, memHits, storeHits, dedups, evictions atomic.Uint64
-}
-
-type graphEntry struct {
-	key string
-	g   *graph.Graph
-}
-
-// graphCall is one in-flight build all concurrent askers share.
-type graphCall struct {
-	done chan struct{}
-	g    *graph.Graph
-	err  error
+	builds, storeHits atomic.Uint64
 }
 
 // NewGraphCache returns a cache holding up to maxGraphs decoded
@@ -102,50 +74,21 @@ func NewGraphCache(store BlobStore, maxGraphs int) *GraphCache {
 	if maxGraphs <= 0 {
 		maxGraphs = DefaultMaxGraphs
 	}
-	return &GraphCache{
-		store:     store,
-		maxGraphs: maxGraphs,
-		graphs:    make(map[string]*list.Element),
-		lru:       list.New(),
-		inflight:  make(map[string]*graphCall),
-	}
+	return &GraphCache{store: store, graphs: newMemo[*graph.Graph](maxGraphs)}
 }
 
 // Get returns the frozen graph of one topology coordinate, building it
 // at most once per process regardless of how many workers ask
 // concurrently. The returned instance is shared: callers must treat it
 // as immutable (it is frozen, so AddEdge already fails) and must not
-// assume exclusive ownership of anything reachable from it.
+// assume exclusive ownership of anything reachable from it. A failed
+// build is returned to every concurrent asker and retried by the next
+// Get.
 func (gc *GraphCache) Get(family graph.Family, n int, seed int64) (*graph.Graph, error) {
 	key := GraphKey(family, n, seed)
-	gc.mu.Lock()
-	if el, ok := gc.graphs[key]; ok {
-		gc.lru.MoveToFront(el)
-		g := el.Value.(*graphEntry).g
-		gc.mu.Unlock()
-		gc.memHits.Add(1)
-		return g, nil
-	}
-	if c, ok := gc.inflight[key]; ok {
-		gc.mu.Unlock()
-		gc.dedups.Add(1)
-		<-c.done
-		return c.g, c.err
-	}
-	c := &graphCall{done: make(chan struct{})}
-	gc.inflight[key] = c
-	gc.mu.Unlock()
-
-	c.g, c.err = gc.load(family, n, seed, key)
-
-	gc.mu.Lock()
-	delete(gc.inflight, key)
-	if c.err == nil {
-		gc.insert(key, c.g)
-	}
-	gc.mu.Unlock()
-	close(c.done)
-	return c.g, c.err
+	return gc.graphs.get(key, func() (*graph.Graph, error) {
+		return gc.load(family, n, seed, key)
+	})
 }
 
 // load produces the ready-to-share instance: the blob-store restore or
@@ -191,34 +134,14 @@ func (gc *GraphCache) loadBlob(family graph.Family, n int, seed int64, key strin
 	return g, nil
 }
 
-// insert places a decoded instance into the LRU (caller holds gc.mu).
-// Evicted instances stay alive for the cells already holding them; the
-// cache merely stops handing them out.
-func (gc *GraphCache) insert(key string, g *graph.Graph) {
-	if el, ok := gc.graphs[key]; ok {
-		gc.lru.MoveToFront(el)
-		return
-	}
-	gc.graphs[key] = gc.lru.PushFront(&graphEntry{key: key, g: g})
-	for gc.lru.Len() > gc.maxGraphs {
-		back := gc.lru.Back()
-		gc.lru.Remove(back)
-		delete(gc.graphs, back.Value.(*graphEntry).key)
-		gc.evictions.Add(1)
-	}
-}
-
 // Stats snapshots the counters.
 func (gc *GraphCache) Stats() GraphCacheStats {
-	gc.mu.Lock()
-	entries := gc.lru.Len()
-	gc.mu.Unlock()
 	return GraphCacheStats{
 		Builds:    gc.builds.Load(),
-		MemHits:   gc.memHits.Load(),
+		MemHits:   gc.graphs.memHits.Load(),
 		StoreHits: gc.storeHits.Load(),
-		Dedups:    gc.dedups.Load(),
-		Evictions: gc.evictions.Load(),
-		Entries:   entries,
+		Dedups:    gc.graphs.dedups.Load(),
+		Evictions: gc.graphs.evictions.Load(),
+		Entries:   gc.graphs.len(),
 	}
 }

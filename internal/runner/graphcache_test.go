@@ -2,37 +2,14 @@ package runner
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
-
-// mapBlobStore is a minimal BlobStore for tests, with a put/get trace.
-type mapBlobStore struct {
-	mu   sync.Mutex
-	m    map[string][]byte
-	gets int
-	puts int
-}
-
-func newMapBlobStore() *mapBlobStore { return &mapBlobStore{m: make(map[string][]byte)} }
-
-func (s *mapBlobStore) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gets++
-	v, ok := s.m[key]
-	return v, ok
-}
-
-func (s *mapBlobStore) Put(key string, value []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.puts++
-	s.m[key] = value
-}
 
 // TestGraphCacheSharedInstance: repeated Gets of one coordinate return
 // the same frozen instance, built once, identical to a direct Build.
@@ -98,6 +75,59 @@ func TestGraphCacheSingleflight(t *testing.T) {
 	}
 	if st.MemHits+st.Dedups != workers-1 {
 		t.Fatalf("hits %d + dedups %d don't cover the other %d workers", st.MemHits, st.Dedups, workers-1)
+	}
+}
+
+// gatedStore is a BlobStore whose Gets wait for release, holding the
+// first asker's load in flight until every other asker has joined it.
+type gatedStore struct {
+	*mapBlobStore
+	release chan struct{}
+}
+
+func (s gatedStore) Get(key string) ([]byte, bool) {
+	<-s.release
+	return s.mapBlobStore.Get(key)
+}
+
+// TestGraphCacheFailedBuildNotCached: a build that fails reaches every
+// concurrent asker of the in-flight load, counts no build, caches
+// nothing, and is retried by the next Get.
+func TestGraphCacheFailedBuildNotCached(t *testing.T) {
+	store := gatedStore{newMapBlobStore(), make(chan struct{})}
+	gc := NewGraphCache(store, 0)
+	const workers = 8
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			_, errs[w] = gc.Get("no-such-family", 32, 1)
+		}(w)
+	}
+	for gc.Stats().Dedups != workers-1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(store.release)
+	wg.Wait()
+	for w, err := range errs {
+		if err == nil || !errors.Is(err, errs[0]) {
+			t.Fatalf("asker %d got %v, want the shared build error %v", w, err, errs[0])
+		}
+	}
+	if st := gc.Stats(); st.Builds != 0 || st.MemHits != 0 || st.Entries != 0 {
+		t.Fatalf("failed build counted or cached: %+v", st)
+	}
+	if store.gets != 1 || store.puts != 0 {
+		t.Fatalf("%d concurrent askers ran %d loads and %d puts, want 1 and 0", workers, store.gets, store.puts)
+	}
+
+	if _, err := gc.Get("no-such-family", 32, 1); err == nil {
+		t.Fatal("retried build of an unknown family succeeded")
+	}
+	if st := gc.Stats(); store.gets != 2 || st.MemHits != 0 || st.Entries != 0 {
+		t.Fatalf("later Get did not retry the load: %d loads, stats %+v", store.gets, st)
 	}
 }
 

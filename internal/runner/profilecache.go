@@ -13,11 +13,9 @@ package runner
 // profiles once per distinct graph — and zero times on resubmission.
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -65,28 +63,12 @@ type ProfileCacheStats struct {
 // ProfileCache deduplicates ball-profile computation across sweep
 // cells, concurrent sweeps, and Pool tenants. Construct with
 // NewProfileCache; attach to Runner.Profiles (or share one across many
-// Runners, typically alongside the GraphCache it mirrors).
+// Runners, typically alongside a GraphCache over the same store).
 type ProfileCache struct {
-	store       BlobStore // optional persistence; nil = memory only
-	maxProfiles int
+	store    BlobStore // optional persistence; nil = memory only
+	profiles *memo[*graph.Profiles]
 
-	mu       sync.Mutex
-	profiles map[string]*list.Element // key → lru element holding *profileEntry
-	lru      *list.List               // front = most recently used
-	inflight map[string]*profileCall
-
-	computes, attachHits, memHits, storeHits, dedups, evictions atomic.Uint64
-}
-
-type profileEntry struct {
-	key string
-	p   *graph.Profiles
-}
-
-// profileCall is one in-flight computation all concurrent askers share.
-type profileCall struct {
-	done chan struct{}
-	p    *graph.Profiles
+	computes, attachHits, storeHits atomic.Uint64
 }
 
 // NewProfileCache returns a cache holding up to maxProfiles decoded
@@ -96,21 +78,17 @@ func NewProfileCache(store BlobStore, maxProfiles int) *ProfileCache {
 	if maxProfiles <= 0 {
 		maxProfiles = DefaultMaxProfiles
 	}
-	return &ProfileCache{
-		store:       store,
-		maxProfiles: maxProfiles,
-		profiles:    make(map[string]*list.Element),
-		lru:         list.New(),
-		inflight:    make(map[string]*profileCall),
-	}
+	return &ProfileCache{store: store, profiles: newMemo[*graph.Profiles](maxProfiles)}
 }
 
 // Attach returns the ball-profile artifact of one topology coordinate,
 // computing it at most once per process regardless of how many workers
 // ask concurrently, and memoizes it on g so every NQ query against the
 // shared instance answers from the profile. g must be the graph of the
-// same coordinate (the one Cell.BuildGraph returned). The returned
-// artifact is immutable and shared.
+// same coordinate (the one Cell.BuildGraph returned): the same key
+// always names the same graph (DESIGN.md §9), so an artifact shared
+// from memory always fits g. The returned artifact is immutable and
+// shared.
 func (pc *ProfileCache) Attach(g *graph.Graph, family graph.Family, n int, seed int64) *graph.Profiles {
 	// The canonical radius is a function of the graph alone, so the
 	// artifact's content never depends on which cell asked first.
@@ -120,48 +98,16 @@ func (pc *ProfileCache) Attach(g *graph.Graph, family graph.Family, n int, seed 
 		return p
 	}
 	key := ProfileKey(family, n, seed)
-	pc.mu.Lock()
-	if el, ok := pc.profiles[key]; ok {
-		p := el.Value.(*profileEntry).p
-		if pc.usable(p, g, radius) {
-			pc.lru.MoveToFront(el)
-			pc.mu.Unlock()
-			pc.memHits.Add(1)
-			return g.AttachProfiles(p)
-		}
-		// A stale entry (policy change, or a key collision across
-		// mismatched graphs) is dropped and recomputed below.
-		pc.lru.Remove(el)
-		delete(pc.profiles, key)
-	}
-	if c, ok := pc.inflight[key]; ok {
-		pc.mu.Unlock()
-		pc.dedups.Add(1)
-		<-c.done
-		if pc.usable(c.p, g, radius) {
-			return g.AttachProfiles(c.p)
-		}
-		// The joined computation ran against a different instance
-		// (possible only under key collisions); fall back to a local
-		// computation without poisoning the cache.
-		return g.AttachProfiles(g.BallProfiles(radius))
-	}
-	c := &profileCall{done: make(chan struct{})}
-	pc.inflight[key] = c
-	pc.mu.Unlock()
-
-	c.p = pc.load(g, radius, key)
-
-	pc.mu.Lock()
-	delete(pc.inflight, key)
-	pc.insert(key, c.p)
-	pc.mu.Unlock()
-	close(c.done)
-	return g.AttachProfiles(c.p)
+	p, _ := pc.profiles.get(key, func() (*graph.Profiles, error) {
+		return pc.load(g, radius, key), nil
+	})
+	return g.AttachProfiles(p)
 }
 
-// usable reports whether a cached artifact fits this graph and covers
-// the canonical radius (a deeper or complete artifact also qualifies).
+// usable reports whether an artifact restored from the store fits this
+// graph and covers the canonical radius (a deeper or complete artifact
+// also qualifies). Store contents come from outside the process, so
+// they are checked; artifacts shared from memory need no check.
 func (pc *ProfileCache) usable(p *graph.Profiles, g *graph.Graph, radius int) bool {
 	return p != nil && p.N() == g.N() && p.Covers(radius)
 }
@@ -187,36 +133,15 @@ func (pc *ProfileCache) load(g *graph.Graph, radius int, key string) *graph.Prof
 	return p
 }
 
-// insert places a decoded artifact into the LRU (caller holds pc.mu).
-// Evicted artifacts stay alive for the graphs they are attached to;
-// the cache merely stops handing them out.
-func (pc *ProfileCache) insert(key string, p *graph.Profiles) {
-	if el, ok := pc.profiles[key]; ok {
-		el.Value.(*profileEntry).p = p
-		pc.lru.MoveToFront(el)
-		return
-	}
-	pc.profiles[key] = pc.lru.PushFront(&profileEntry{key: key, p: p})
-	for pc.lru.Len() > pc.maxProfiles {
-		back := pc.lru.Back()
-		pc.lru.Remove(back)
-		delete(pc.profiles, back.Value.(*profileEntry).key)
-		pc.evictions.Add(1)
-	}
-}
-
 // Stats snapshots the counters.
 func (pc *ProfileCache) Stats() ProfileCacheStats {
-	pc.mu.Lock()
-	entries := pc.lru.Len()
-	pc.mu.Unlock()
 	return ProfileCacheStats{
 		Computes:   pc.computes.Load(),
 		AttachHits: pc.attachHits.Load(),
-		MemHits:    pc.memHits.Load(),
+		MemHits:    pc.profiles.memHits.Load(),
 		StoreHits:  pc.storeHits.Load(),
-		Dedups:     pc.dedups.Load(),
-		Evictions:  pc.evictions.Load(),
-		Entries:    entries,
+		Dedups:     pc.profiles.dedups.Load(),
+		Evictions:  pc.profiles.evictions.Load(),
+		Entries:    pc.profiles.len(),
 	}
 }

@@ -294,7 +294,7 @@ type Runner struct {
 	// freshly computed cells are stored back. Because cell rows are a
 	// pure function of the cache key, cached sweeps render
 	// byte-identically to cold ones (DESIGN.md §7).
-	Cache CellCache
+	Cache BlobStore
 	// CacheVersion is the code-version component of the cache key;
 	// empty means CodeVersion.
 	CacheVersion string
@@ -331,7 +331,7 @@ func (r *Runner) workers() int {
 	return r.Workers
 }
 
-func (r *Runner) cache() CellCache {
+func (r *Runner) cache() BlobStore {
 	if r == nil {
 		return nil
 	}
