@@ -147,9 +147,10 @@ func TestCoreCongestRoundsAllocationFree(t *testing.T) {
 		nodes := make([]congest.Node, g.N())
 		for v := range nodes {
 			c := &chatterNode{}
-			g.ForEachNeighbor(v, func(u int, _ int64) {
-				c.neighbors = append(c.neighbors, u)
-			})
+			to, _ := g.Row(v)
+			for _, u := range to {
+				c.neighbors = append(c.neighbors, int(u))
+			}
 			nodes[v] = c
 		}
 		net, err := hybrid.New(g, hybrid.Config{})

@@ -365,8 +365,14 @@ func KLSP(net *hybrid.Net, sources, targets []int, eps float64, c KLSPCase, rng 
 	if eps <= 0 {
 		return nil, nil, fmt.Errorf("apsp: eps=%v must be positive", eps)
 	}
-	start := net.Rounds()
 	g := net.Graph()
+	if err := checkNodes("source", sources, g.N()); err != nil {
+		return nil, nil, err
+	}
+	if err := checkNodes("target", targets, g.N()); err != nil {
+		return nil, nil, err
+	}
+	start := net.Rounds()
 	k, l := len(sources), len(targets)
 	var (
 		dist    [][]int64
@@ -428,4 +434,14 @@ func KLSP(net *hybrid.Net, sources, targets []int, eps float64, c KLSPCase, rng 
 // clusterNQValue returns NQ_k without charging rounds (reporting only).
 func clusterNQValue(net *hybrid.Net, k int) (int, error) {
 	return nq.Of(net.Graph(), k)
+}
+
+// checkNodes rejects an out-of-range node id before any round is charged.
+func checkNodes(role string, nodes []int, n int) error {
+	for _, v := range nodes {
+		if v < 0 || v >= n {
+			return fmt.Errorf("apsp: %s %d out of range [0,%d)", role, v, n)
+		}
+	}
+	return nil
 }

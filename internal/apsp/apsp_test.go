@@ -171,6 +171,34 @@ func TestKLSPValidation(t *testing.T) {
 	}
 }
 
+// TestKLSPRejectsOutOfRangeNodes: an out-of-range source or target is
+// an error in both Theorem 5 cases, reported before any round is
+// charged.
+func TestKLSPRejectsOutOfRangeNodes(t *testing.T) {
+	const n = 16
+	for _, c := range []KLSPCase{KLSPArbitrarySources, KLSPRandomBoth} {
+		for _, bad := range []int{-1, n} {
+			for _, tc := range []struct {
+				role             string
+				sources, targets []int
+			}{
+				{"source", []int{0, bad}, []int{5}},
+				{"target", []int{0}, []int{5, bad}},
+			} {
+				net := newNet(t, graph.Path(n))
+				before := net.Rounds()
+				_, _, err := KLSP(net, tc.sources, tc.targets, 0.5, c, rand.New(rand.NewSource(1)))
+				if err == nil {
+					t.Errorf("case %d, %s %d: accepted", c, tc.role, bad)
+				}
+				if got := net.Rounds(); got != before {
+					t.Errorf("case %d, %s %d: charged %d rounds before failing", c, tc.role, bad, got-before)
+				}
+			}
+		}
+	}
+}
+
 func TestKLSPTheorem5Case1(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	g := graph.RandomWeights(graph.Grid(12, 2), 6, rng)

@@ -80,9 +80,10 @@ func (nd *distNode) offer(ctx *Context, from int, a int64) int64 {
 
 func (nd *distNode) announce(ctx *Context, kind uint8) {
 	v := ctx.ID()
-	ctx.Graph().ForEachNeighbor(v, func(u int, _ int64) {
-		ctx.Send(Message{To: u, Mode: ModeLocal, Kind: kind, A: nd.dist})
-	})
+	to, _ := ctx.Graph().Row(v)
+	for _, u := range to {
+		ctx.Send(Message{To: int(u), Mode: ModeLocal, Kind: kind, A: nd.dist})
+	}
 }
 
 func (nd *distNode) Start(ctx *Context, restart bool) {
@@ -193,9 +194,10 @@ func (nd *tokenNode) payload() bitset.Set { return nd.set.Clone() }
 
 func (nd *tokenNode) gossip(ctx *Context, kind uint8) {
 	v := ctx.ID()
-	ctx.Graph().ForEachNeighbor(v, func(u int, _ int64) {
-		ctx.Send(Message{To: u, Mode: ModeLocal, Kind: kind, Set: nd.payload()})
-	})
+	to, _ := ctx.Graph().Row(v)
+	for _, u := range to {
+		ctx.Send(Message{To: int(u), Mode: ModeLocal, Kind: kind, Set: nd.payload()})
+	}
 	if nd.peer != v {
 		ctx.Send(Message{To: nd.peer, Mode: ModeGlobal, Kind: kind, Set: nd.payload()})
 	}

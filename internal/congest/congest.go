@@ -313,10 +313,11 @@ func BFS(net *hybrid.Net, src int) ([]int64, int, error) {
 	progs := make([]*bfsNode, n)
 	for v := 0; v < n; v++ {
 		p := &bfsNode{id: v, isRoot: v == src, dist: -1}
-		p.neighbors = make([]int, 0, g.Degree(v))
-		g.ForEachNeighbor(v, func(u int, _ int64) {
-			p.neighbors = append(p.neighbors, u)
-		})
+		to, _ := g.Row(v)
+		p.neighbors = make([]int, len(to))
+		for i, u := range to {
+			p.neighbors[i] = int(u)
+		}
 		progs[v] = p
 		nodes[v] = p
 	}
@@ -392,12 +393,12 @@ func BellmanFord(net *hybrid.Net, src int) ([]int64, int, error) {
 	progs := make([]*bellmanFordNode, n)
 	for v := 0; v < n; v++ {
 		p := &bellmanFordNode{isRoot: v == src, dist: -1}
-		p.neighbors = make([]int, 0, g.Degree(v))
-		p.weights = make([]int64, 0, g.Degree(v))
-		g.ForEachNeighbor(v, func(u int, w int64) {
-			p.neighbors = append(p.neighbors, u)
-			p.weights = append(p.weights, w)
-		})
+		to, w := g.Row(v)
+		p.neighbors = make([]int, len(to))
+		for i, u := range to {
+			p.neighbors[i] = int(u)
+		}
+		p.weights = w
 		progs[v] = p
 		nodes[v] = p
 	}

@@ -95,8 +95,9 @@ func TestRunnerRejectsPerEdgeViolation(t *testing.T) {
 	nodes := make([]Node, 3)
 	for v := 0; v < 3; v++ {
 		c := &cheater{}
-		for _, e := range g.Neighbors(v) {
-			c.neighbors = append(c.neighbors, int(e.To))
+		to, _ := g.Row(v)
+		for _, u := range to {
+			c.neighbors = append(c.neighbors, int(u))
 		}
 		nodes[v] = c
 	}
@@ -174,9 +175,10 @@ func runBFSWorkers(t *testing.T, g *graph.Graph, src, workers int) ([]int64, int
 	progs := make([]*bfsNode, n)
 	for v := 0; v < n; v++ {
 		p := &bfsNode{id: v, isRoot: v == src, dist: -1}
-		g.ForEachNeighbor(v, func(u int, _ int64) {
-			p.neighbors = append(p.neighbors, u)
-		})
+		to, _ := g.Row(v)
+		for _, u := range to {
+			p.neighbors = append(p.neighbors, int(u))
+		}
 		progs[v] = p
 		nodes[v] = p
 	}
@@ -252,8 +254,9 @@ func TestRunnerShardedRejectsPerEdgeViolation(t *testing.T) {
 		nodes := make([]Node, g.N())
 		for v := range nodes {
 			c := &cheater{}
-			for _, e := range g.Neighbors(v) {
-				c.neighbors = append(c.neighbors, int(e.To))
+			to, _ := g.Row(v)
+			for _, u := range to {
+				c.neighbors = append(c.neighbors, int(u))
 			}
 			nodes[v] = c
 		}

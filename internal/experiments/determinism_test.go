@@ -51,26 +51,6 @@ func TestReportByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSweepCellsRunTheCSRPath pins that every sweep cell's graph is
-// frozen, i.e. the byte-identical reports certified above are produced
-// by the CSR hot paths, not the adjacency-list fallback.
-func TestSweepCellsRunTheCSRPath(t *testing.T) {
-	sc := Table1Scenario(DefaultFamilies(), 64, []int{16}, 5)
-	cells := runner.Cells(sc)
-	if len(cells) == 0 {
-		t.Fatal("no cells")
-	}
-	for i := range cells {
-		g, err := cells[i].BuildGraph()
-		if err != nil {
-			t.Fatalf("cell %s: %v", cells[i].String(), err)
-		}
-		if !g.Frozen() {
-			t.Fatalf("cell %s: graph not frozen", cells[i].String())
-		}
-	}
-}
-
 // TestTableRowsIdenticalAcrossWorkerCounts pins the row-level contract
 // on the remaining table scenarios at a small scale.
 func TestTableRowsIdenticalAcrossWorkerCounts(t *testing.T) {

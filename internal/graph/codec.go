@@ -1,10 +1,10 @@
 package graph
 
-// The deterministic binary codec for frozen graphs (DESIGN.md §9).
-// EncodeCSR serializes exactly the CSR snapshot Freeze built —
+// The deterministic binary codec for graphs (DESIGN.md §9).
+// EncodeCSR serializes exactly the CSR arrays Freeze built —
 // rowStart, to, w — so a decoded graph is frozen, read-shareable, and
 // byte-identical to a rebuilt-and-re-encoded one: the arrays preserve
-// adjacency order, and every traversal visits neighbors in that order
+// insertion order, and every traversal visits neighbors in that order
 // (§4). That determinism is what lets runner.GraphCache persist
 // topologies through the artifact disk tier and hand the same instance
 // to every sweep point, mirroring the paper's universal-optimality
@@ -15,7 +15,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"math"
 )
@@ -31,21 +30,14 @@ var csrMagic = [4]byte{'H', 'C', 'S', 'R'}
 // csrHeaderLen is magic + version + n + halfEdges.
 const csrHeaderLen = 4 + 4 + 8 + 8
 
-// ErrNotFrozen is returned by EncodeCSR for a graph without a CSR
-// snapshot; call Freeze first.
-var ErrNotFrozen = errors.New("graph: encoding requires a frozen graph (call Freeze)")
-
-// EncodeCSR serializes a frozen graph into the deterministic binary
-// CSR format: a fixed header (magic, CodecVersion, n, half-edge count)
-// followed by the little-endian rowStart (int32), to (int32) and w
-// (int64) arrays. Two graphs with identical CSR arrays encode to
+// EncodeCSR serializes a graph, freezing it, into the deterministic
+// binary CSR format: a fixed header (magic, CodecVersion, n, half-edge
+// count) followed by the little-endian rowStart (int32), to (int32)
+// and w (int64) arrays. Two graphs with identical CSR arrays encode to
 // identical bytes.
-func EncodeCSR(g *Graph) ([]byte, error) {
-	c := g.csr
-	if c == nil {
-		return nil, ErrNotFrozen
-	}
-	n := len(g.adj)
+func EncodeCSR(g *Graph) []byte {
+	c := g.rows()
+	n := g.N()
 	h := len(c.to)
 	buf := make([]byte, csrHeaderLen+4*(n+1)+4*h+8*h)
 	copy(buf, csrMagic[:])
@@ -65,15 +57,14 @@ func EncodeCSR(g *Graph) ([]byte, error) {
 		binary.LittleEndian.PutUint64(buf[off:], uint64(v))
 		off += 8
 	}
-	return buf, nil
+	return buf
 }
 
-// DecodeCSR parses an EncodeCSR blob back into a frozen graph,
-// rebuilding the adjacency lists from the CSR rows so both
-// representations agree. The input is validated structurally — header
-// shape, exact payload length, monotone row offsets, in-range
-// endpoints, no self-loops, positive weights, and half-edge symmetry
-// (every (u,v,w) half-edge has its (v,u,w) mate) — so a corrupt or
+// DecodeCSR parses an EncodeCSR blob back into a frozen graph. The
+// input is validated structurally — header shape, exact payload
+// length, monotone row offsets, in-range endpoints, no self-loops,
+// positive weights, and half-edge symmetry (every (u,v,w) half-edge
+// has its (v,u,w) mate) — so a corrupt or
 // truncated blob returns an error rather than a graph that violates
 // the library's invariants.
 func DecodeCSR(data []byte) (*Graph, error) {
@@ -134,11 +125,8 @@ func DecodeCSR(data []byte) (*Graph, error) {
 	// must cancel out for the graph to be undirected. Weight mismatches
 	// between directions surface as an unmatched leftover.
 	mates := make(map[[3]int64]int, h/2)
-	g := &Graph{adj: make([][]Edge, n), m: h / 2, csr: c}
 	for v := 0; v < n; v++ {
-		lo, hi := c.rowStart[v], c.rowStart[v+1]
-		g.adj[v] = make([]Edge, 0, hi-lo)
-		for i := lo; i < hi; i++ {
+		for i := c.rowStart[v]; i < c.rowStart[v+1]; i++ {
 			u, w := int(c.to[i]), c.w[i]
 			if u < 0 || u >= n {
 				return nil, fmt.Errorf("graph: codec: endpoint %d of node %d out of range [0,%d)", u, v, n)
@@ -154,7 +142,6 @@ func DecodeCSR(data []byte) (*Graph, error) {
 			} else {
 				mates[[3]int64{int64(u), int64(v), w}]--
 			}
-			g.adj[v] = append(g.adj[v], Edge{To: int32(u), W: w})
 		}
 	}
 	for e, count := range mates {
@@ -162,17 +149,15 @@ func DecodeCSR(data []byte) (*Graph, error) {
 			return nil, fmt.Errorf("graph: codec: asymmetric edge (%d,%d,w=%d)", e[0], e[1], e[2])
 		}
 	}
+	g := &Graph{n: n, m: h / 2}
+	g.freeze.Do(func() { g.csr = c })
 	return g, nil
 }
 
 // CSRHash returns the graph's content address: the SHA-256 hex digest
-// of its EncodeCSR bytes. Graphs with identical frozen topology hash
-// identically; ErrNotFrozen for an unfrozen graph.
-func CSRHash(g *Graph) (string, error) {
-	blob, err := EncodeCSR(g)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:]), nil
+// of its EncodeCSR bytes, freezing the graph. Graphs with identical
+// topology and insertion order hash identically.
+func CSRHash(g *Graph) string {
+	sum := sha256.Sum256(EncodeCSR(g))
+	return hex.EncodeToString(sum[:])
 }

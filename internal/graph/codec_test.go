@@ -31,17 +31,11 @@ func TestCodecRoundTripDifferential(t *testing.T) {
 		for _, n := range []int{32, 96} {
 			for seed := int64(1); seed <= 3; seed++ {
 				g := buildFamily(t, fam, n, seed)
-				blob, err := graph.EncodeCSR(g)
-				if err != nil {
-					t.Fatalf("%s/%d/%d: EncodeCSR: %v", fam, n, seed, err)
-				}
+				blob := graph.EncodeCSR(g)
 
 				// Byte-identical to a rebuilt instance: the codec output
 				// is a pure function of (family, n, seed).
-				rebuilt, err := graph.EncodeCSR(buildFamily(t, fam, n, seed))
-				if err != nil {
-					t.Fatal(err)
-				}
+				rebuilt := graph.EncodeCSR(buildFamily(t, fam, n, seed))
 				if !bytes.Equal(blob, rebuilt) {
 					t.Fatalf("%s/%d/%d: rebuilt instance encodes differently", fam, n, seed)
 				}
@@ -61,18 +55,10 @@ func TestCodecRoundTripDifferential(t *testing.T) {
 				}
 
 				// Re-encoding the decoded graph must reproduce the blob.
-				re, err := graph.EncodeCSR(dec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(blob, re) {
+				if !bytes.Equal(blob, graph.EncodeCSR(dec)) {
 					t.Fatalf("%s/%d/%d: decoded graph re-encodes differently", fam, n, seed)
 				}
-				h1, err := graph.CSRHash(g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if h2, _ := graph.CSRHash(dec); h1 != h2 {
+				if h1, h2 := graph.CSRHash(g), graph.CSRHash(dec); h1 != h2 {
 					t.Fatalf("%s/%d/%d: content hash changed across round-trip: %s vs %s", fam, n, seed, h1, h2)
 				}
 
@@ -117,11 +103,8 @@ func TestCodecRoundTripDifferential(t *testing.T) {
 // all unweighted, so reweight one explicitly).
 func TestCodecWeightedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := graph.RandomWeights(buildFamily(t, graph.FamilyGrid2D, 64, 1), 1000, rng).Freeze()
-	blob, err := graph.EncodeCSR(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph.RandomWeights(buildFamily(t, graph.FamilyGrid2D, 64, 1), 1000, rng)
+	blob := graph.EncodeCSR(g)
 	dec, err := graph.DecodeCSR(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -134,37 +117,15 @@ func TestCodecWeightedRoundTrip(t *testing.T) {
 			t.Fatalf("weighted Dijkstra[%d] = %d, oracle %d", v, got[v], want[v])
 		}
 	}
-	if re, _ := graph.EncodeCSR(dec); !bytes.Equal(blob, re) {
+	if !bytes.Equal(blob, graph.EncodeCSR(dec)) {
 		t.Fatal("weighted graph re-encodes differently")
-	}
-}
-
-// TestEncodeRequiresFrozen: the codec refuses an unfrozen graph rather
-// than snapshotting a mutable adjacency.
-func TestEncodeRequiresFrozen(t *testing.T) {
-	g := graph.New(4)
-	if err := g.AddEdge(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := graph.EncodeCSR(g); err != graph.ErrNotFrozen {
-		t.Fatalf("EncodeCSR(unfrozen) = %v, want ErrNotFrozen", err)
-	}
-	if _, err := graph.CSRHash(g); err != graph.ErrNotFrozen {
-		t.Fatalf("CSRHash(unfrozen) = %v, want ErrNotFrozen", err)
-	}
-	if _, err := graph.EncodeCSR(g.Freeze()); err != nil {
-		t.Fatalf("EncodeCSR(frozen) = %v", err)
 	}
 }
 
 // TestDecodeRejectsCorruption: structured corruption of a valid blob
 // must fail loudly, never produce an invariant-violating graph.
 func TestDecodeRejectsCorruption(t *testing.T) {
-	g := buildFamily(t, graph.FamilyCycle, 16, 1)
-	blob, err := graph.EncodeCSR(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := graph.EncodeCSR(buildFamily(t, graph.FamilyCycle, 16, 1))
 	corrupt := func(mutate func(b []byte)) []byte {
 		b := append([]byte(nil), blob...)
 		mutate(b)

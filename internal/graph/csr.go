@@ -2,80 +2,59 @@ package graph
 
 import "errors"
 
-// ErrFrozen is returned by AddEdge once Freeze has built the CSR
-// representation: the flat arrays are a snapshot, and growing the
-// adjacency lists behind them would silently desynchronize the two.
+// ErrFrozen is returned by AddEdge once the graph is frozen: the CSR
+// arrays are the graph, and the build buffer behind them is gone.
 var ErrFrozen = errors.New("graph: graph is frozen (AddEdge after Freeze)")
 
-// csr is the compressed-sparse-row snapshot built by Freeze. The
+// csr is the compressed-sparse-row form every read runs on. The
 // half-edges leaving node v occupy positions rowStart[v]..rowStart[v+1]
-// of the flat to/w arrays, in exactly the adjacency-list order, so every
-// traversal visits neighbors in the same order on either representation.
+// of the flat to/w arrays, in exactly the order AddEdge inserted them.
 type csr struct {
 	rowStart []int32 // len n+1, monotone; rowStart[n] == 2m
 	to       []int32 // len 2m, neighbor of each half-edge
 	w        []int64 // len 2m, weight of each half-edge
 }
 
-// Freeze builds the flat CSR edge arrays that back the hot-path
-// traversals (BFS, Dijkstra, hop-limited search, connectivity). It is
-// idempotent and returns g for chaining. After Freeze the graph is
-// immutable: AddEdge returns ErrFrozen. Generators built through Build
-// return already-frozen graphs.
+// Freeze compacts the build buffer into the CSR arrays and releases
+// it. It runs once — here or on the graph's first read, whichever comes
+// first — and is safe to call from concurrent readers; it returns g for
+// chaining. After Freeze the graph is immutable: AddEdge returns
+// ErrFrozen. Generators built through Build return frozen graphs.
 func (g *Graph) Freeze() *Graph {
-	if g.csr != nil {
-		return g
-	}
-	n := len(g.adj)
-	c := &csr{
-		rowStart: make([]int32, n+1),
-		to:       make([]int32, 2*g.m),
-		w:        make([]int64, 2*g.m),
-	}
-	pos := int32(0)
-	for v := 0; v < n; v++ {
-		c.rowStart[v] = pos
-		for _, e := range g.adj[v] {
-			c.to[pos] = e.To
-			c.w[pos] = e.W
-			pos++
+	g.freeze.Do(func() {
+		n := g.n
+		c := &csr{
+			rowStart: make([]int32, n+1),
+			to:       make([]int32, 2*g.m),
+			w:        make([]int64, 2*g.m),
 		}
-	}
-	c.rowStart[n] = pos
-	g.csr = c
+		pos := int32(0)
+		for v := 0; v < n; v++ {
+			c.rowStart[v] = pos
+			for _, e := range g.adj[v] {
+				c.to[pos] = e.To
+				c.w[pos] = e.W
+				pos++
+			}
+		}
+		c.rowStart[n] = pos
+		g.csr = c
+		g.adj = nil
+	})
 	return g
 }
 
-// Frozen reports whether Freeze has been called.
+// rows returns the CSR arrays, freezing the graph on its first read.
+func (g *Graph) rows() *csr { return g.Freeze().csr }
+
+// Frozen reports whether the graph has been frozen.
 func (g *Graph) Frozen() bool { return g.csr != nil }
 
-// ForEachNeighbor calls f for every neighbor of v in adjacency order,
-// iterating the CSR row when frozen and the adjacency list otherwise —
-// the shared fallback for callers that need the edges of one node
-// without caring about the representation.
-func (g *Graph) ForEachNeighbor(v int, f func(u int, w int64)) {
-	if c := g.csr; c != nil {
-		lo, hi := c.rowStart[v], c.rowStart[v+1]
-		row, rw := c.to[lo:hi], c.w[lo:hi]
-		for i, u := range row {
-			f(int(u), rw[i])
-		}
-		return
-	}
-	for _, e := range g.adj[v] {
-		f(int(e.To), e.W)
-	}
-}
-
-// Row returns the CSR adjacency row of v as flat neighbor/weight
-// slices, in adjacency-list order. The slices alias the graph's frozen
-// arrays and must not be modified. On an unfrozen graph both results
-// are nil; callers fall back to Neighbors.
+// Row returns the edges of v as flat neighbor/weight slices, in the
+// order AddEdge inserted them. The slices alias the graph's arrays and
+// must not be modified.
 func (g *Graph) Row(v int) (to []int32, w []int64) {
-	c := g.csr
-	if c == nil || v < 0 || v+1 >= len(c.rowStart) {
-		return nil, nil
-	}
+	c := g.rows()
 	lo, hi := c.rowStart[v], c.rowStart[v+1]
 	return c.to[lo:hi], c.w[lo:hi]
 }

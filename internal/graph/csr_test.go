@@ -1,14 +1,15 @@
 package graph_test
 
-// Differential tests of the CSR hot paths: every frozen traversal must
-// agree with the unfrozen adjacency-list walk on identically-constructed
-// graphs, and both must agree with the independent sequential oracle
-// (internal/oracle) across all 11 graph families. Also the regression
-// test for the Freeze/AddEdge mutation guard.
+// Tests of the build/read contract (Freeze on the first read, AddEdge
+// guarded after it) and the differential suite of the CSR traversals
+// against the independent sequential oracle (internal/oracle) across
+// all 11 graph families.
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -17,7 +18,7 @@ import (
 
 // TestAddEdgeAfterFreezeErrors is the regression test for the mutation
 // guard: AddEdge on a frozen graph must fail with ErrFrozen and leave
-// both representations untouched.
+// the graph untouched.
 func TestAddEdgeAfterFreezeErrors(t *testing.T) {
 	g := graph.Path(5)
 	if err := g.AddEdge(0, 2, 1); err != nil {
@@ -64,134 +65,87 @@ func TestBuildReturnsFrozen(t *testing.T) {
 	}
 }
 
-// TestDerivedGraphsPreserveFrozen: Clone, Reweight, Unweighted and
-// Subgraph of a frozen graph stay frozen (and of an unfrozen graph stay
-// unfrozen).
-func TestDerivedGraphsPreserveFrozen(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	frozen := graph.RandomConnected(30, 0.1, rng).Freeze()
-	unfrozen := graph.RandomConnected(30, 0.1, rng)
-	if !frozen.Clone().Frozen() || unfrozen.Clone().Frozen() {
-		t.Fatal("Clone does not preserve frozen state")
-	}
-	if !graph.RandomWeights(frozen, 9, rng).Frozen() {
-		t.Fatal("Reweight of frozen graph not frozen")
-	}
-	if graph.RandomWeights(unfrozen, 9, rng).Frozen() {
-		t.Fatal("Reweight of unfrozen graph frozen")
-	}
-	if !frozen.Unweighted().Frozen() {
-		t.Fatal("Unweighted of frozen graph not frozen")
-	}
-	keep := make([]bool, frozen.N())
-	for v := 0; v < 10; v++ {
-		keep[v] = true
-	}
-	if sub, _ := frozen.Subgraph(keep); !sub.Frozen() {
-		t.Fatal("Subgraph of frozen graph not frozen")
-	}
-}
-
-// TestRowMatchesNeighbors: the CSR row of every node must list the same
-// neighbors and weights, in the same order, as the adjacency list.
-func TestRowMatchesNeighbors(t *testing.T) {
-	g := graph.RandomConnected(50, 0.1, rand.New(rand.NewSource(3)))
-	if to, w := g.Row(0); to != nil || w != nil {
-		t.Fatal("Row non-nil before Freeze")
-	}
-	g.Freeze()
-	for v := 0; v < g.N(); v++ {
-		to, w := g.Row(v)
-		es := g.Neighbors(v)
-		if len(to) != len(es) || len(w) != len(es) {
-			t.Fatalf("node %d: row length %d/%d vs %d neighbors", v, len(to), len(w), len(es))
-		}
-		for i, e := range es {
-			if to[i] != e.To || w[i] != e.W {
-				t.Fatalf("node %d slot %d: row (%d,%d) vs edge (%d,%d)", v, i, to[i], w[i], e.To, e.W)
+// TestFirstReadFreezes pins the build/read contract: HasEdge answers
+// from the build buffer without freezing, the first read of any kind
+// freezes the graph exactly once (also when 8 readers race to it), the
+// CSR rows keep AddEdge order, and AddEdge fails afterwards.
+func TestFirstReadFreezes(t *testing.T) {
+	edges := []graph.UndirectedEdge{{U: 0, V: 3, W: 5}, {U: 0, V: 1, W: 2}, {U: 2, V: 0, W: 7}, {U: 1, V: 2, W: 1}, {U: 3, V: 4, W: 1}}
+	build := func() *graph.Graph {
+		g := graph.New(5)
+		for _, e := range edges {
+			if g.HasEdge(e.U, e.V) {
+				t.Fatalf("HasEdge(%d,%d) before AddEdge", e.U, e.V)
+			}
+			if err := g.AddEdge(e.U, e.V, e.W); err != nil {
+				t.Fatal(err)
+			}
+			if !g.HasEdge(e.V, e.U) {
+				t.Fatalf("HasEdge(%d,%d) false after AddEdge", e.V, e.U)
 			}
 		}
+		if g.Frozen() {
+			t.Fatal("HasEdge froze the graph")
+		}
+		return g
 	}
-}
 
-// twins lists generator pairs that construct the identical instance
-// twice — same constructor, same seed, hence identical per-node
-// adjacency order — so frozen and unfrozen traversals can be compared
-// exactly, including order-sensitive outputs.
-func twins(n int, seed int64) map[string]func() *graph.Graph {
-	return map[string]func() *graph.Graph{
-		"path":          func() *graph.Graph { return graph.Path(n) },
-		"cycle":         func() *graph.Graph { return graph.Cycle(n) },
-		"grid2d":        func() *graph.Graph { return graph.Grid(6, 2) },
-		"grid3d":        func() *graph.Graph { return graph.Grid(4, 3) },
-		"torus2d":       func() *graph.Graph { return graph.Torus(6, 2) },
-		"ringofcliques": func() *graph.Graph { return graph.RingOfCliques(8, 5) },
-		"lollipop":      func() *graph.Graph { return graph.Lollipop(7, n-7) },
-		"tree":          func() *graph.Graph { return graph.BinaryTree(n) },
-		"hypercube":     func() *graph.Graph { return graph.Hypercube(5) },
-		"random": func() *graph.Graph {
-			return graph.RandomConnected(n, 0.08, rand.New(rand.NewSource(seed)))
-		},
-		"expander": func() *graph.Graph {
-			return graph.RandomRegular(n, 4, rand.New(rand.NewSource(seed)))
+	g := build()
+	reads := []func() any{
+		func() any { return g.Dijkstra(0) },
+		func() any { return g.BFS(4) },
+		func() any { return g.Ball(1, 2) },
+		func() any { return g.BallProfiles(3) },
+		func() any { to, w := g.Row(0); return [2]any{to, w} },
+		func() any { return g.Edges() },
+		func() any { return g.Connected() },
+		func() any { return graph.EncodeCSR(g) },
+	}
+	got := make([]any, len(reads))
+	var wg sync.WaitGroup
+	for i, read := range reads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = read()
+		}()
+	}
+	wg.Wait()
+	if !g.Frozen() {
+		t.Fatal("graph not frozen after its first reads")
+	}
+	for i, read := range reads {
+		if want := read(); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("concurrent first read %d = %v, want %v", i, got[i], want)
+		}
+	}
+	if want := []int64{0, 2, 3, 5, 6}; !reflect.DeepEqual(got[0], want) {
+		t.Errorf("Dijkstra(0) = %v, want %v", got[0], want)
+	}
+	to, w := g.Row(0)
+	if !reflect.DeepEqual(to, []int32{3, 1, 2}) || !reflect.DeepEqual(w, []int64{5, 2, 7}) {
+		t.Errorf("Row(0) = %v %v, want AddEdge order [3 1 2] [5 2 7]", to, w)
+	}
+	if err := g.AddEdge(1, 4, 1); !errors.Is(err, graph.ErrFrozen) {
+		t.Errorf("AddEdge after a read: %v, want ErrFrozen", err)
+	}
+	if !g.HasEdge(2, 1) || g.HasEdge(1, 4) || g.M() != len(edges) {
+		t.Error("frozen HasEdge/M disagree with the built edges")
+	}
+
+	// Derived graphs read their source, so both come back frozen.
+	derived := map[string]func(*graph.Graph) *graph.Graph{
+		"Reweight":   func(g *graph.Graph) *graph.Graph { return graph.RandomWeights(g, 9, rand.New(rand.NewSource(1))) },
+		"Unweighted": (*graph.Graph).Unweighted,
+		"Subgraph": func(g *graph.Graph) *graph.Graph {
+			sub, _ := g.Subgraph([]bool{true, true, true, false, true})
+			return sub
 		},
 	}
-}
-
-// TestFrozenMatchesUnfrozenTwins compares every traversal on the frozen
-// and unfrozen builds of the same instance, including order-sensitive
-// outputs (Ball order, closest-source indices): the CSR arrays preserve
-// adjacency order exactly, so results must be deep-equal.
-func TestFrozenMatchesUnfrozenTwins(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		for name, mk := range twins(40, seed) {
-			unfrozen := mk()
-			frozen := mk().Freeze()
-			n := unfrozen.N()
-			srcs := []int{0, n / 2, n - 1}
-
-			if got, want := frozen.BFS(0), unfrozen.BFS(0); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/seed=%d: BFS differs", name, seed)
-			}
-			fd, fn := frozen.MultiSourceBFS(srcs)
-			ud, un := unfrozen.MultiSourceBFS(srcs)
-			if !reflect.DeepEqual(fd, ud) || !reflect.DeepEqual(fn, un) {
-				t.Fatalf("%s/seed=%d: MultiSourceBFS differs", name, seed)
-			}
-			wf := graph.RandomWeights(frozen, 50, rand.New(rand.NewSource(seed)))
-			wu := graph.RandomWeights(unfrozen, 50, rand.New(rand.NewSource(seed)))
-			if got, want := wf.Dijkstra(0), wu.Dijkstra(0); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/seed=%d: Dijkstra differs", name, seed)
-			}
-			fwd, fwn := wf.MultiSourceDijkstra(srcs)
-			uwd, uwn := wu.MultiSourceDijkstra(srcs)
-			if !reflect.DeepEqual(fwd, uwd) || !reflect.DeepEqual(fwn, uwn) {
-				t.Fatalf("%s/seed=%d: MultiSourceDijkstra differs", name, seed)
-			}
-			if got, want := wf.HopLimitedDistances(0, 4), wu.HopLimitedDistances(0, 4); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/seed=%d: HopLimitedDistances differs", name, seed)
-			}
-			if got, want := frozen.Ball(0, 3), unfrozen.Ball(0, 3); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/seed=%d: Ball order differs", name, seed)
-			}
-			if got, want := frozen.BallSizes(0, 6), unfrozen.BallSizes(0, 6); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/seed=%d: BallSizes differs", name, seed)
-			}
-			if frozen.Connected() != unfrozen.Connected() {
-				t.Fatalf("%s/seed=%d: Connected differs", name, seed)
-			}
-			for v := 0; v < n; v += 7 {
-				for u := 0; u < n; u += 5 {
-					fw, fok := frozen.EdgeWeight(v, u)
-					uw, uok := unfrozen.EdgeWeight(v, u)
-					if fok != uok || fw != uw {
-						t.Fatalf("%s/seed=%d: EdgeWeight(%d,%d) differs", name, seed, v, u)
-					}
-					if frozen.HasEdge(v, u) != unfrozen.HasEdge(v, u) {
-						t.Fatalf("%s/seed=%d: HasEdge(%d,%d) differs", name, seed, v, u)
-					}
-				}
-			}
+	for name, derive := range derived {
+		src := build()
+		if d := derive(src); !src.Frozen() || !d.Frozen() {
+			t.Errorf("%s: source frozen %v, derived frozen %v; want both", name, src.Frozen(), d.Frozen())
 		}
 	}
 }

@@ -1,6 +1,6 @@
 package graph
 
-// Delta-stepping SSSP (DESIGN.md §14). On large frozen graphs the
+// Delta-stepping SSSP (DESIGN.md §14). On large graphs the
 // binary-heap Dijkstra spends its time in O(log n) sift chains; the
 // bucket relaxation here replaces them with O(1) appends. Distances
 // are partitioned into width-Δ buckets drained in increasing order;
@@ -127,13 +127,10 @@ func (g *Graph) deltaParams() (delta int64, ringK int) {
 
 // DeltaStepping returns weighted distances d(src, ·) like Dijkstra,
 // computed by the delta-stepping bucket kernel with the given worker
-// count (≤ 0 means MaxKernelWorkers). Requires a frozen graph (falls
-// back to the heap Dijkstra otherwise). Output is byte-identical to
+// count (≤ 0 means MaxKernelWorkers). Output is byte-identical to
 // Dijkstra at any worker count.
 func (g *Graph) DeltaStepping(src, workers int) []int64 {
-	if g.csr == nil {
-		return g.dijkstraHeap(src)
-	}
+	g.Freeze()
 	dist := newDistVector(g.N())
 	if src < 0 || src >= g.N() {
 		return dist
@@ -149,9 +146,7 @@ func (g *Graph) DeltaStepping(src, workers int) []int64 {
 // pin down (the sequential heap's tie-break is schedule-dependent only
 // in the sense of following heap order; see MultiSourceDijkstra).
 func (g *Graph) MultiSourceDeltaStepping(srcs []int, workers int) (dist []int64, nearest []int) {
-	if g.csr == nil {
-		return g.multiSourceDijkstraHeap(srcs)
-	}
+	g.Freeze()
 	n := g.N()
 	dist = newDistVector(n)
 	nearest = make([]int, n)

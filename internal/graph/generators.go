@@ -9,8 +9,8 @@ import (
 // value, sparing the O(n·m) all-BFS sweep on deterministic families —
 // at n = 10^6 that sweep is intractable, and the closed forms here are
 // what lets the nqscaling-xl cells run. Callers must seed after the
-// last mustAddEdge (AddEdge invalidates the cache); every formula is
-// certified against oracle.Diameter in TestAnalyticDiameters.
+// last mustAddEdge (Cycle re-seeds after closing its Path); every
+// formula is certified against oracle.Diameter in TestAnalyticDiameters.
 func seedDiameter(g *Graph, d int64) *Graph {
 	if d > 0 {
 		g.diam.Store(d)
@@ -300,8 +300,7 @@ func Families() []Family {
 // Build constructs a member of the family with approximately n nodes
 // (grids round down to a perfect power). The rng is used only by
 // FamilyRandom; it may be nil for deterministic families. The returned
-// graph is frozen (Freeze): its hot-path traversals run on the flat CSR
-// arrays and further AddEdge calls fail with ErrFrozen.
+// graph is frozen (Freeze): further AddEdge calls fail with ErrFrozen.
 func Build(f Family, n int, rng *rand.Rand) (*Graph, error) {
 	g, err := build(f, n, rng)
 	if err != nil {

@@ -21,8 +21,9 @@ import (
 // Inf + maxWeight does not overflow int64.
 const Inf int64 = math.MaxInt64 / 4
 
-// Edge is a directed half-edge stored in an adjacency list. An undirected
-// edge {u,v} appears as Edge{To: v} in u's list and Edge{To: u} in v's.
+// Edge is a directed half-edge in the build buffer AddEdge fills. An
+// undirected edge {u,v} appears as Edge{To: v} in u's list and
+// Edge{To: u} in v's.
 type Edge struct {
 	To int32
 	W  int64
@@ -31,27 +32,32 @@ type Edge struct {
 // Graph is an undirected graph with int64 edge weights.
 // The zero value is an empty graph; use New to allocate n nodes.
 //
-// A graph has two representations: the mutable adjacency lists filled
-// by AddEdge, and the flat CSR arrays built once by Freeze (csr.go).
-// Freezing makes the graph immutable and switches every hot-path
-// traversal onto the cache-dense flat arrays.
+// AddEdge fills a build buffer of adjacency lists. Every read runs on
+// the flat CSR arrays (csr.go) that Freeze compacts the buffer into,
+// once, either when called or on the graph's first read; the buffer is
+// then released and the graph is immutable (AddEdge returns
+// ErrFrozen). Building belongs to one goroutine; once built, a graph
+// may be read from any number of goroutines, including its first read.
 type Graph struct {
-	adj [][]Edge
-	m   int
+	n int
+	m int
+	// adj is the build buffer; nil once frozen.
+	adj    [][]Edge
+	freeze sync.Once
+	// csr is the read representation; nil until Freeze ran.
+	csr *csr
 	// diam caches Diameter(); 0 means "not computed" (recomputing a
-	// diameter-0 graph is free). Invalidated by AddEdge. Atomic so a
-	// frozen graph shared by concurrent sweep cells (runner.GraphCache)
-	// may compute it lazily from any of them: the value is a pure
-	// function of the graph, so racing writers store the same number.
+	// diameter-0 graph is free). Atomic so a graph shared by
+	// concurrent sweep cells (runner.GraphCache) may compute it lazily
+	// from any of them: the value is a pure function of the graph, so
+	// racing writers store the same number.
 	diam atomic.Int64
 	// profiles memoizes the batched ball-profile artifact
 	// (BallProfiles); nil until attached. Like diam it is a pure
 	// function of the topology, so concurrent attachers of a shared
-	// frozen graph only race about equivalent values (AttachProfiles
-	// keeps the deepest). Invalidated by AddEdge.
+	// graph only race about equivalent values (AttachProfiles keeps the
+	// deepest).
 	profiles atomic.Pointer[Profiles]
-	// csr is the frozen flat representation; non-nil once Freeze ran.
-	csr *csr
 	// ballPool recycles the epoch-marked scratch of Ball and BallSizes,
 	// keeping those calls O(|ball|) instead of Θ(n). Safe for
 	// concurrent readers of the graph.
@@ -76,11 +82,11 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	return &Graph{adj: make([][]Edge, n)}
+	return &Graph{n: n, adj: make([][]Edge, n)}
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return g.n }
 
 // M returns the number of undirected edges.
 func (g *Graph) M() int { return g.m }
@@ -94,7 +100,7 @@ func (g *Graph) AddEdge(u, v int, w int64) error {
 	if g.csr != nil {
 		return ErrFrozen
 	}
-	n := len(g.adj)
+	n := g.n
 	if u < 0 || u >= n || v < 0 || v >= n {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
 	}
@@ -107,8 +113,6 @@ func (g *Graph) AddEdge(u, v int, w int64) error {
 	g.adj[u] = append(g.adj[u], Edge{To: int32(v), W: w})
 	g.adj[v] = append(g.adj[v], Edge{To: int32(u), W: w})
 	g.m++
-	g.diam.Store(0)
-	g.profiles.Store(nil)
 	return nil
 }
 
@@ -119,29 +123,34 @@ func (g *Graph) mustAddEdge(u, v int, w int64) {
 	}
 }
 
-// Neighbors returns the adjacency list of v. The returned slice is owned by
-// the graph and must not be modified.
-func (g *Graph) Neighbors(v int) []Edge { return g.adj[v] }
-
 // Degree returns the number of edges incident to v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int {
+	c := g.rows()
+	return int(c.rowStart[v+1] - c.rowStart[v])
+}
 
-// HasEdge reports whether the undirected edge {u,v} is present.
+// HasEdge reports whether the undirected edge {u,v} is present. It is
+// the one read that does not freeze the graph: the generators use it
+// as a duplicate check while building, so before Freeze it scans the
+// build buffer.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false
 	}
-	// Scan the shorter list.
-	if len(g.adj[u]) > len(g.adj[v]) {
-		u, v = v, u
-	}
+	// Scan the shorter row.
 	if c := g.csr; c != nil {
-		for i, end := c.rowStart[u], c.rowStart[u+1]; i < end; i++ {
-			if int(c.to[i]) == v {
+		if c.rowStart[u+1]-c.rowStart[u] > c.rowStart[v+1]-c.rowStart[v] {
+			u, v = v, u
+		}
+		for _, x := range c.to[c.rowStart[u]:c.rowStart[u+1]] {
+			if int(x) == v {
 				return true
 			}
 		}
 		return false
+	}
+	if len(g.adj[u]) > len(g.adj[v]) {
+		u, v = v, u
 	}
 	for _, e := range g.adj[u] {
 		if int(e.To) == v {
@@ -153,20 +162,13 @@ func (g *Graph) HasEdge(u, v int) bool {
 
 // EdgeWeight returns the weight of the edge {u,v}, or (0,false) if absent.
 func (g *Graph) EdgeWeight(u, v int) (int64, bool) {
-	if u < 0 || u >= len(g.adj) {
+	if u < 0 || u >= g.n {
 		return 0, false
 	}
-	if c := g.csr; c != nil {
-		for i, end := c.rowStart[u], c.rowStart[u+1]; i < end; i++ {
-			if int(c.to[i]) == v {
-				return c.w[i], true
-			}
-		}
-		return 0, false
-	}
-	for _, e := range g.adj[u] {
-		if int(e.To) == v {
-			return e.W, true
+	to, w := g.Row(u)
+	for i, x := range to {
+		if int(x) == v {
+			return w[i], true
 		}
 	}
 	return 0, false
@@ -181,37 +183,20 @@ type UndirectedEdge struct {
 // Edges returns every undirected edge exactly once, with U < V,
 // in adjacency order.
 func (g *Graph) Edges() []UndirectedEdge {
+	c := g.rows()
 	out := make([]UndirectedEdge, 0, g.m)
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			if u < int(e.To) {
-				out = append(out, UndirectedEdge{U: u, V: int(e.To), W: e.W})
+	for u := 0; u < g.n; u++ {
+		for i := c.rowStart[u]; i < c.rowStart[u+1]; i++ {
+			if v := int(c.to[i]); u < v {
+				out = append(out, UndirectedEdge{U: u, V: v, W: c.w[i]})
 			}
 		}
 	}
 	return out
 }
 
-// Clone returns a deep copy of g. A frozen graph clones frozen. The
-// lazy annotations (diameter, ball profiles) carry over: both are pure
-// functions of the topology, and Profiles instances are immutable, so
-// sharing one is safe.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make([][]Edge, len(g.adj)), m: g.m}
-	c.diam.Store(g.diam.Load())
-	c.profiles.Store(g.profiles.Load())
-	for v, es := range g.adj {
-		c.adj[v] = append([]Edge(nil), es...)
-	}
-	if g.csr != nil {
-		c.Freeze()
-	}
-	return c
-}
-
-// Reweight returns a copy of g whose edge weights are f(u, v, w). The
-// function must return a positive weight. The copy of a frozen graph
-// is frozen.
+// Reweight returns a frozen copy of g whose edge weights are f(u, v, w).
+// The function must return a positive weight.
 func (g *Graph) Reweight(f func(u, v int, w int64) int64) (*Graph, error) {
 	c := New(g.N())
 	for _, e := range g.Edges() {
@@ -220,10 +205,7 @@ func (g *Graph) Reweight(f func(u, v int, w int64) int64) (*Graph, error) {
 			return nil, err
 		}
 	}
-	if g.csr != nil {
-		c.Freeze()
-	}
-	return c, nil
+	return c.Freeze(), nil
 }
 
 // Unweighted returns a copy of g with all edge weights set to 1.
@@ -234,11 +216,9 @@ func (g *Graph) Unweighted() *Graph {
 
 // IsWeighted reports whether any edge has weight != 1.
 func (g *Graph) IsWeighted() bool {
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			if e.W != 1 {
-				return true
-			}
+	for _, w := range g.rows().w {
+		if w != 1 {
+			return true
 		}
 	}
 	return false
@@ -246,15 +226,13 @@ func (g *Graph) IsWeighted() bool {
 
 // MaxWeight returns the largest edge weight (0 for an edgeless graph).
 func (g *Graph) MaxWeight() int64 {
-	var w int64
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			if e.W > w {
-				w = e.W
-			}
+	var mw int64
+	for _, w := range g.rows().w {
+		if w > mw {
+			mw = w
 		}
 	}
-	return w
+	return mw
 }
 
 // ErrDisconnected is returned by algorithms that require a connected graph.
@@ -262,6 +240,7 @@ var ErrDisconnected = errors.New("graph: graph is not connected")
 
 // Connected reports whether g is connected (the empty graph is connected).
 func (g *Graph) Connected() bool {
+	c := g.rows()
 	n := g.N()
 	if n == 0 {
 		return true
@@ -270,37 +249,22 @@ func (g *Graph) Connected() bool {
 	stack := make([]int32, 1, n)
 	seen[0] = true
 	count := 1
-	if c := g.csr; c != nil {
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for i, end := c.rowStart[v], c.rowStart[v+1]; i < end; i++ {
-				if u := c.to[i]; !seen[u] {
-					seen[u] = true
-					count++
-					stack = append(stack, u)
-				}
-			}
-		}
-		return count == n
-	}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range g.adj[v] {
-			if !seen[e.To] {
-				seen[e.To] = true
+		for _, u := range c.to[c.rowStart[v]:c.rowStart[v+1]] {
+			if !seen[u] {
+				seen[u] = true
 				count++
-				stack = append(stack, e.To)
+				stack = append(stack, u)
 			}
 		}
 	}
 	return count == n
 }
 
-// Subgraph returns the subgraph induced by keep (keep[v] == true), along
-// with the mapping from new indices to original ones. The subgraph of a
-// frozen graph is frozen.
+// Subgraph returns the frozen subgraph induced by keep (keep[v] ==
+// true), along with the mapping from new indices to original ones.
 func (g *Graph) Subgraph(keep []bool) (*Graph, []int) {
 	idx := make([]int32, g.N())
 	var orig []int
@@ -315,14 +279,12 @@ func (g *Graph) Subgraph(keep []bool) (*Graph, []int) {
 	}
 	sub := New(len(orig))
 	for _, v := range orig {
-		for _, e := range g.adj[v] {
-			if u := int(e.To); keep[u] && v < u {
-				sub.mustAddEdge(int(idx[v]), int(idx[u]), e.W)
+		to, w := g.Row(v)
+		for i, x := range to {
+			if u := int(x); keep[u] && v < u {
+				sub.mustAddEdge(int(idx[v]), int(idx[u]), w[i])
 			}
 		}
 	}
-	if g.csr != nil {
-		sub.Freeze()
-	}
-	return sub, orig
+	return sub.Freeze(), orig
 }

@@ -332,21 +332,17 @@ func TestSubgraph(t *testing.T) {
 	}
 }
 
-func TestCloneAndReweight(t *testing.T) {
+func TestReweight(t *testing.T) {
 	g := Path(4)
-	c := g.Clone()
-	if err := c.AddEdge(0, 3, 7); err != nil {
-		t.Fatal(err)
-	}
-	if g.HasEdge(0, 3) {
-		t.Fatal("clone shares storage with original")
-	}
 	w, err := g.Reweight(func(_, _ int, _ int64) int64 { return 9 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !w.IsWeighted() || w.MaxWeight() != 9 {
 		t.Fatal("reweight failed")
+	}
+	if g.IsWeighted() || g.MaxWeight() != 1 {
+		t.Fatal("reweight changed the original's weights")
 	}
 	if u := w.Unweighted(); u.IsWeighted() {
 		t.Fatal("unweighted copy still weighted")

@@ -4,7 +4,7 @@ package graph
 // workhorses — BFS, multi-source BFS, Dijkstra, hop-limited search —
 // are exact algorithms whose outputs are pure functions of the graph,
 // so the engine may swap their implementations freely as long as the
-// replacement computes the same vectors. On frozen graphs at
+// replacement computes the same vectors. On graphs of
 // kernelMinN nodes and above, the classic sequential kernels hand off
 // to direction-optimizing BFS (this file) and delta-stepping SSSP
 // (deltastep.go): level-synchronous and bucket-synchronous algorithms
@@ -113,13 +113,10 @@ func (g *Graph) getBFSScratch(workers int) *bfsScratch {
 }
 
 // BFSWorkers is BFS with an explicit worker count (≤ 0 means the
-// process budget, MaxKernelWorkers). On a frozen graph it runs the
-// direction-optimizing kernel; otherwise it falls back to the
-// sequential queue BFS. The output is identical at any worker count.
+// process budget, MaxKernelWorkers), run on the direction-optimizing
+// kernel. The output is identical at any worker count.
 func (g *Graph) BFSWorkers(src, workers int) []int64 {
-	if g.csr == nil {
-		return g.bfsSequential(src)
-	}
+	g.Freeze()
 	dist := newDistVector(g.N())
 	g.bfsDirOpt([]int{src}, dist, nil, workers)
 	return dist
@@ -131,9 +128,7 @@ func (g *Graph) BFSWorkers(src, workers int) []int64 {
 // smallest position in srcs among those at minimal distance — so the
 // output matches the sequential implementation byte for byte.
 func (g *Graph) MultiSourceBFSWorkers(srcs []int, workers int) (dist []int64, nearest []int) {
-	if g.csr == nil {
-		return g.multiSourceBFSSequential(srcs)
-	}
+	g.Freeze()
 	n := g.N()
 	dist = newDistVector(n)
 	nearest = make([]int, n)
@@ -463,9 +458,7 @@ func (g *Graph) bottomUpLevel(level int64, dist []int64, nearest []int, workers 
 // atomic min transitions and the improved set is schedule-independent
 // (a node improved iff the round's minimum beats its previous value).
 func (g *Graph) HopLimitedDistancesWorkers(src, h, workers int) []int64 {
-	if g.csr == nil {
-		return g.hopLimitedSequential(src, h)
-	}
+	g.Freeze()
 	n, c := g.N(), g.csr
 	if workers <= 0 {
 		workers = MaxKernelWorkers()

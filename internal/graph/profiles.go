@@ -130,13 +130,14 @@ func (g *Graph) Profiles() *Profiles {
 // AttachProfiles memoizes p on the graph for later Profiles callers,
 // keeping whichever of p and the already-attached profiles sees
 // farther (a complete one beats any truncated one). It returns the
-// winning instance. Attaching profiles of a different node count is a
-// programming error and panics.
+// winning instance. Attaching freezes the graph, since profiles
+// describe a finished topology. Attaching profiles of a different node
+// count is a programming error and panics.
 func (g *Graph) AttachProfiles(p *Profiles) *Profiles {
 	if p == nil {
 		return g.profiles.Load()
 	}
-	if p.n != g.N() {
+	if p.n != g.Freeze().N() {
 		panic("graph: AttachProfiles: profile node count does not match graph")
 	}
 	for {
@@ -179,7 +180,7 @@ func (g *Graph) BallProfiles(maxR int) *Profiles {
 // excludes part of the graph), and the exact diameter is available
 // whenever every node resolved.
 func (g *Graph) BallProfilesWorkers(maxR, workers int) *Profiles {
-	n := g.N()
+	n := g.Freeze().N()
 	if maxR < 0 {
 		maxR = 0
 	}
@@ -283,22 +284,12 @@ func (g *Graph) profileChunk(ci, maxR int, out *profileChunk) {
 		for t < maxR && len(frontier) > 0 && total < n {
 			t++
 			next = next[:0]
-			if c := g.csr; c != nil {
-				for _, u := range frontier {
-					for _, x := range c.to[c.rowStart[u]:c.rowStart[u+1]] {
-						if mark[x] != epoch {
-							mark[x] = epoch
-							next = append(next, x)
-						}
-					}
-				}
-			} else {
-				for _, u := range frontier {
-					for _, e := range g.adj[u] {
-						if mark[e.To] != epoch {
-							mark[e.To] = epoch
-							next = append(next, e.To)
-						}
+			c := g.csr
+			for _, u := range frontier {
+				for _, x := range c.to[c.rowStart[u]:c.rowStart[u+1]] {
+					if mark[x] != epoch {
+						mark[x] = epoch
+						next = append(next, x)
 					}
 				}
 			}
@@ -329,7 +320,7 @@ func (g *Graph) profileChunk(ci, maxR int, out *profileChunk) {
 // ≤ maxT qualifies. The call is allocation-free in steady state (the
 // pooled Ball/BallSizes scratch).
 func (g *Graph) BallReach(v, maxT int, need int64) (t, size int, ok bool) {
-	n := g.N()
+	n := g.Freeze().N()
 	if v < 0 || v >= n || maxT < 1 {
 		return 0, 0, false
 	}
@@ -346,22 +337,12 @@ func (g *Graph) BallReach(v, maxT int, need int64) (t, size int, ok bool) {
 	for t := 1; t <= maxT; t++ {
 		if len(frontier) > 0 && total < n {
 			next = next[:0]
-			if c := g.csr; c != nil {
-				for _, u := range frontier {
-					for _, x := range c.to[c.rowStart[u]:c.rowStart[u+1]] {
-						if mark[x] != epoch {
-							mark[x] = epoch
-							next = append(next, x)
-						}
-					}
-				}
-			} else {
-				for _, u := range frontier {
-					for _, e := range g.adj[u] {
-						if mark[e.To] != epoch {
-							mark[e.To] = epoch
-							next = append(next, e.To)
-						}
+			c := g.csr
+			for _, u := range frontier {
+				for _, x := range c.to[c.rowStart[u]:c.rowStart[u+1]] {
+					if mark[x] != epoch {
+						mark[x] = epoch
+						next = append(next, x)
 					}
 				}
 			}

@@ -94,8 +94,7 @@ func TestProfilesEccentricities(t *testing.T) {
 	}
 }
 
-// TestAttachProfiles: attachment keeps the deepest artifact, AddEdge
-// invalidates it, Clone carries it over.
+// TestAttachProfiles: attachment keeps the deepest artifact.
 func TestAttachProfiles(t *testing.T) {
 	g := Cycle(20)
 	shallow := g.BallProfiles(2)
@@ -113,22 +112,6 @@ func TestAttachProfiles(t *testing.T) {
 	g.AttachProfiles(full)
 	if got := g.AttachProfiles(deep); got != full {
 		t.Fatal("truncated artifact displaced a complete one")
-	}
-
-	c := g.Clone()
-	if c.Profiles() != full {
-		t.Fatal("Clone dropped the attached profiles")
-	}
-
-	mutable := New(3)
-	mutable.mustAddEdge(0, 1, 1)
-	mutable.AttachProfiles(mutable.BallProfiles(4))
-	if mutable.Profiles() == nil {
-		t.Fatal("attach on mutable graph failed")
-	}
-	mutable.mustAddEdge(1, 2, 1)
-	if mutable.Profiles() != nil {
-		t.Fatal("AddEdge kept a stale profile attached")
 	}
 }
 

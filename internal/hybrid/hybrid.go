@@ -252,9 +252,10 @@ func New(g *graph.Graph, cfg Config) (*Net, error) {
 		for v := 0; v < n; v++ {
 			net.know[v] = bitset.New(n)
 			net.know[v].Add(v)
-			g.ForEachNeighbor(v, func(u int, _ int64) {
-				net.know[v].Add(u)
-			})
+			to, _ := g.Row(v)
+			for _, u := range to {
+				net.know[v].Add(int(u))
+			}
 		}
 	}
 	return net, nil

@@ -127,9 +127,7 @@ func (gc *GraphCache) loadBlob(family graph.Family, n int, seed int64, key strin
 	}
 	gc.builds.Add(1)
 	if gc.store != nil {
-		if blob, err := graph.EncodeCSR(g); err == nil {
-			gc.store.Put(key, blob)
-		}
+		gc.store.Put(key, graph.EncodeCSR(g))
 	}
 	return g, nil
 }

@@ -33,8 +33,8 @@ func TestGraphCacheSharedInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := graph.EncodeCSR(direct)
-	got, _ := graph.EncodeCSR(g1)
+	want := graph.EncodeCSR(direct)
+	got := graph.EncodeCSR(g1)
 	if !bytes.Equal(want, got) {
 		t.Fatal("cached graph differs from a direct build")
 	}
@@ -151,7 +151,7 @@ func TestGraphCachePersistRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		encodings[GraphKey(c.fam, c.n, c.seed)], _ = graph.EncodeCSR(g)
+		encodings[GraphKey(c.fam, c.n, c.seed)] = graph.EncodeCSR(g)
 	}
 	if st := gc1.Stats(); st.Builds != 3 || store.puts != 3 {
 		t.Fatalf("first cache: stats %+v, %d puts", st, store.puts)
@@ -166,7 +166,7 @@ func TestGraphCachePersistRestore(t *testing.T) {
 		if !g.Frozen() {
 			t.Fatal("restored graph is not frozen")
 		}
-		if enc, _ := graph.EncodeCSR(g); !bytes.Equal(enc, encodings[GraphKey(c.fam, c.n, c.seed)]) {
+		if enc := graph.EncodeCSR(g); !bytes.Equal(enc, encodings[GraphKey(c.fam, c.n, c.seed)]) {
 			t.Fatalf("%s/%d/%d: restored graph differs from the built one", c.fam, c.n, c.seed)
 		}
 	}
@@ -189,7 +189,7 @@ func TestGraphCacheCorruptBlobRebuilds(t *testing.T) {
 	if st := gc.Stats(); st.Builds != 1 || st.StoreHits != 0 {
 		t.Fatalf("corrupt blob not rebuilt: %+v", st)
 	}
-	if want, _ := graph.EncodeCSR(g); !bytes.Equal(store.m[key], want) {
+	if want := graph.EncodeCSR(g); !bytes.Equal(store.m[key], want) {
 		t.Fatal("rebuild did not shadow the corrupt record")
 	}
 }
@@ -235,11 +235,7 @@ func TestCollectBuildsEachGraphOnce(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			h, err := graph.CSRHash(g)
-			if err != nil {
-				return nil, err
-			}
-			return []row{{Hash: h}}, nil
+			return []row{{Hash: graph.CSRHash(g)}}, nil
 		},
 	}
 	distinct := 2 * 2 * 2 // families × ns × seeds; points share

@@ -37,21 +37,27 @@ func Compute(g *graph.Graph, k int) (*graph.Graph, error) {
 		return edges[i].V < edges[j].V
 	})
 	h := graph.New(g.N())
+	// The greedy checks read the spanner while it grows; reading h
+	// itself would freeze it, so they run on this adjacency mirror.
+	adj := make([][]graph.Edge, g.N())
 	stretch := int64(2*k - 1)
 	for _, e := range edges {
 		limit := stretch * e.W
-		if boundedDistanceExceeds(h, e.U, e.V, limit) {
+		if boundedDistanceExceeds(adj, e.U, e.V, limit) {
 			if err := h.AddEdge(e.U, e.V, e.W); err != nil {
 				return nil, err
 			}
+			adj[e.U] = append(adj[e.U], graph.Edge{To: int32(e.V), W: e.W})
+			adj[e.V] = append(adj[e.V], graph.Edge{To: int32(e.U), W: e.W})
 		}
 	}
-	return h, nil
+	return h.Freeze(), nil
 }
 
-// boundedDistanceExceeds reports whether d_h(u,v) > limit, using a
-// Dijkstra that abandons paths longer than limit.
-func boundedDistanceExceeds(h *graph.Graph, u, v int, limit int64) bool {
+// boundedDistanceExceeds reports whether d_h(u,v) > limit on the
+// spanner's adjacency lists, using a Dijkstra that abandons paths
+// longer than limit.
+func boundedDistanceExceeds(adj [][]graph.Edge, u, v int, limit int64) bool {
 	if u == v {
 		return false
 	}
@@ -83,7 +89,7 @@ func boundedDistanceExceeds(h *graph.Graph, u, v int, limit int64) bool {
 		if it.v == v {
 			return false
 		}
-		for _, e := range h.Neighbors(it.v) {
+		for _, e := range adj[it.v] {
 			nd := it.d + e.W
 			if nd > limit {
 				continue
