@@ -48,6 +48,31 @@ func TestAddEdgeAfterFreezeErrors(t *testing.T) {
 	}
 }
 
+// TestAddEdgeInvalidatesDiameter pins the diameter memo across the
+// build: the generators seed it on a graph that is not yet frozen, and
+// Diameter returns a seed without freezing, so an AddEdge after the
+// seed — or after a Diameter call — must clear it.
+func TestAddEdgeInvalidatesDiameter(t *testing.T) {
+	g := graph.Path(5)
+	if err := g.AddEdge(0, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := g.Diameter(), oracle.Diameter(g); got != want || got != 3 {
+		t.Fatalf("Path(5)+{0,2}: Diameter()=%d, oracle %d, want 3", got, want)
+	}
+
+	g = graph.Path(5)
+	if d := g.Diameter(); d != 4 {
+		t.Fatalf("Path(5): Diameter()=%d, want 4", d)
+	}
+	if err := g.AddEdge(0, 4, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := g.Diameter(), oracle.Diameter(g); got != want || got != 2 {
+		t.Fatalf("Path(5)+{0,4}: Diameter()=%d, oracle %d, want 2", got, want)
+	}
+}
+
 // TestBuildReturnsFrozen pins the generator contract: every family
 // built through Build is frozen.
 func TestBuildReturnsFrozen(t *testing.T) {

@@ -36,8 +36,10 @@ type Edge struct {
 // the flat CSR arrays (csr.go) that Freeze compacts the buffer into,
 // once, either when called or on the graph's first read; the buffer is
 // then released and the graph is immutable (AddEdge returns
-// ErrFrozen). Building belongs to one goroutine; once built, a graph
-// may be read from any number of goroutines, including its first read.
+// ErrFrozen). Building belongs to one goroutine, and HasEdge, AddEdge
+// and Frozen are part of building until the first freezing read: they
+// must not race a first read on another goroutine. Every other read
+// may run from any number of goroutines, including the first.
 type Graph struct {
 	n int
 	m int
@@ -47,7 +49,8 @@ type Graph struct {
 	// csr is the read representation; nil until Freeze ran.
 	csr *csr
 	// diam caches Diameter(); 0 means "not computed" (recomputing a
-	// diameter-0 graph is free). Atomic so a graph shared by
+	// diameter-0 graph is free). The generators seed it while building
+	// and AddEdge invalidates it. Atomic so a graph shared by
 	// concurrent sweep cells (runner.GraphCache) may compute it lazily
 	// from any of them: the value is a pure function of the graph, so
 	// racing writers store the same number.
@@ -113,6 +116,7 @@ func (g *Graph) AddEdge(u, v int, w int64) error {
 	g.adj[u] = append(g.adj[u], Edge{To: int32(v), W: w})
 	g.adj[v] = append(g.adj[v], Edge{To: int32(u), W: w})
 	g.m++
+	g.diam.Store(0)
 	return nil
 }
 
@@ -132,7 +136,8 @@ func (g *Graph) Degree(v int) int {
 // HasEdge reports whether the undirected edge {u,v} is present. It is
 // the one read that does not freeze the graph: the generators use it
 // as a duplicate check while building, so before Freeze it scans the
-// build buffer.
+// build buffer. Until the graph is frozen it belongs to the building
+// goroutine and must not run concurrently with a first read.
 func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false

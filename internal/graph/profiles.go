@@ -17,6 +17,7 @@ package graph
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -299,6 +300,11 @@ func (g *Graph) profileChunk(ci, maxR int, out *profileChunk) {
 			rowLen++
 		}
 		s.front, s.nextFr = frontier, next
+		if v == lo {
+			// Neighboring nodes have rows of similar length: reserve
+			// the rest of the chunk once instead of regrowing on append.
+			out.sizes = slices.Grow(out.sizes, int(rowLen)*(hi-lo-1))
+		}
 		switch {
 		case total == n:
 			out.ecc = append(out.ecc, int64(t))
